@@ -1,7 +1,7 @@
 """Two-phase external-memory suffix tree construction with transfer-count
 instrumentation, brute-force verification, and a benchmark harness."""
 
-from .blockio import BlockReader, IoStats, read_range, scan, total_counters
+from .blockio import BlockReader, IoStats, total_counters
 from .errors import (
     AlphabetError,
     BuildError,
@@ -48,9 +48,6 @@ from .tree import (
     SuffixSubtree,
     build_subtree,
     deserialize_subtree,
-    query_exists,
-    query_locate,
-    query_longest_prefix,
     serialize_subtree,
 )
 from .vertical import (
@@ -60,7 +57,6 @@ from .vertical import (
     VirtualTree,
     build_top_trie,
     count_frequencies,
-    count_frequencies_parallel,
     pack_virtual_trees,
     partition_prefixes,
 )

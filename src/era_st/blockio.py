@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import RangeError
 from .text import Text
@@ -116,12 +116,6 @@ class BlockReader:
         self.stats.blocks_read += nblocks
         self._resident = nblocks - 1
 
-    def scan(self, visitor: Callable[[int], None]) -> None:
-        """Visit every symbol in order, charging one full scan."""
-        self.charge_full_scan()
-        for sym in self.text.data:
-            visitor(sym)
-
     def read_range(self, start: int, length: int) -> bytes:
         """Read up to ``length`` symbols starting at 1-based ``start``.
 
@@ -148,10 +142,3 @@ class BlockReader:
         self._resident = b1
         return self._data[start - 1 : end]
 
-
-def scan(reader: BlockReader, visitor: Callable[[int], None]) -> None:
-    reader.scan(visitor)
-
-
-def read_range(reader: BlockReader, start: int, length: int) -> bytes:
-    return reader.read_range(start, length)

@@ -389,7 +389,7 @@ def _process_vtrees(
                 if out_dir is not None:
                     tree = build_subtree(arrays, text)
                     record.file_name = subtree_file_name(current)
-                    record.node_count = len(tree.nodes)
+                    record.node_count = len(tree.pos)
                     path = Path(out_dir) / record.file_name
                     with open(path, "wb") as sink:
                         record.bytes_written = serialize_subtree(

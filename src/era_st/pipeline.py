@@ -127,6 +127,11 @@ def build_index(
     trie_bytes = trie.to_bytes()
     (out / TRIE_NAME).write_bytes(trie_bytes)
     charge_write(vertical_stats, len(trie_bytes), config.block_size_b)
+    # a previous build into this directory may have used other prefixes
+    named = {leaf.file_name for leaf in trie.leaves if not leaf.is_direct}
+    for stale in out.glob("st_*"):
+        if stale.name not in named:
+            stale.unlink()
     result.wall_vertical_s = time.perf_counter() - t0
     result.partition = partition
     result.entry_count = len(partition.entries)

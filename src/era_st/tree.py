@@ -1,20 +1,34 @@
 """Suffix subtree construction, binary serialization, and the query engine.
 
-A subtree is built from its SA and LCP triples in one left-to-right sweep:
-leaves are appended in SA order and internal nodes are inserted on the
-rightmost path at the depths the LCP triples dictate.  Edges store a
-(text position, length) pair into the input string, never explicit labels.
+A subtree is the lcp-interval tree of one prefix's suffixes (Abouelhoda,
+Kurtz & Ohlebusch, *Replacing suffix trees with enhanced suffix arrays*,
+JDA 2004), held as three arrays indexed by depth-first preorder:
+
+    pos[i]    1-based text position of the leftmost leaf below node i
+    depth[i]  string depth at the node's lower end; a leaf's depth is its
+              suffix length n - pos[i] + 1
+    end[i]    preorder index one past the last node of i's subtree
+
+Node i is a leaf iff end[i] == i + 1.  Its children are i + 1, end[i + 1],
+and so on while below end[i].  The edge into child c of a node at depth d
+spells text symbols pos[c] + d through pos[c] + depth[c] - 1 (1-based), the
+slice data[pos[c] + d - 1 : pos[c] + depth[c] - 1], so edge labels are never
+stored.  The root sits at depth len(prefix); a
+prefix that occurs once gives a one-leaf subtree whose edge runs from there
+to the text end.
 
 Queries descend the top trie one symbol at a time, load at most one subtree
-file on the way down, and compare edge labels against the text.
+file on the way down, and compare whole edge labels against the text.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
+
+import numpy as np
 
 from .blockio import IoStats, charge_write
 from .errors import CorruptArraysError, IndexCorruptError
@@ -23,157 +37,116 @@ from .text import Text
 from .vertical import TopTrie, TrieLeaf, TrieNode
 
 SUBTREE_MAGIC = b"ERST"
-SUBTREE_VERSION = 1
+SUBTREE_VERSION = 2
 
 _HEADER = struct.Struct("<4sHH")
 _COUNT = struct.Struct("<Q")
-_NODE_FIXED = struct.Struct("<QQH")
-_CHILD = struct.Struct("<I")
-_LEAF_FLAG = struct.Struct("<B")
-_LEAF_POS = struct.Struct("<Q")
+_NODE_BYTES = 8 + 8 + 4  # pos u64, depth u64, end u32
 
 
-@dataclass
-class Node:
-    """One subtree node: an edge into the text plus ordered children.
-
-    ``edge_start`` is the 1-based text position of the edge label's first
-    symbol; the root of a multi-leaf subtree carries no edge (0, 0).  Leaves
-    are childless and store the start position of their suffix.
-    """
-
-    edge_start: int
-    edge_len: int
-    children: list[int] = field(default_factory=list)
-    leaf_pos: int | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.leaf_pos is not None
-
-
-@dataclass
+@dataclass(eq=False)
 class SuffixSubtree:
-    """All suffixes sharing one prefix, as a path-compressed tree.
+    """All suffixes sharing one prefix, as the preorder arrays ``pos``,
+    ``depth`` and ``end`` described in the module docstring.
 
-    Nodes are stored in depth-first preorder; ``nodes[root]`` is the subtree
-    root, attached at string depth len(prefix).  In-order leaf traversal
-    reproduces the relative suffix array.
+    Node 0 is the root; the leaves in preorder reproduce the relative suffix
+    array.
     """
 
     prefix: bytes
-    nodes: list[Node]
-    root: int = 0
+    pos: np.ndarray
+    depth: np.ndarray
+    end: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SuffixSubtree):
+            return NotImplemented
+        return self.prefix == other.prefix and all(
+            np.array_equal(a, b)
+            for a, b in ((self.pos, other.pos), (self.depth, other.depth), (self.end, other.end))
+        )
 
     def leaf_positions(self) -> list[int]:
-        return list(self.iter_leaves(self.root))
+        return list(self.iter_leaves(0))
 
     def iter_leaves(self, node_index: int) -> Iterator[int]:
-        node = self.nodes[node_index]
-        if node.is_leaf:
-            yield node.leaf_pos
-            return
-        for child in node.children:
-            yield from self.iter_leaves(child)
-
-    def leaf_count(self) -> int:
-        return sum(1 for n in self.nodes if n.is_leaf)
+        """Leaf positions below a node, left to right: the leaves of the
+        preorder slice [node_index, end[node_index])."""
+        stop = int(self.end[node_index])
+        is_leaf = self.end[node_index:stop] == np.arange(node_index + 1, stop + 1)
+        yield from self.pos[node_index:stop][is_leaf].tolist()
 
 
 def build_subtree(arrays: SubtreeArrays, text: Text) -> SuffixSubtree:
-    """Single sweep over (sa, lcp): append leaves left to right, splitting the
-    rightmost path where the branch depth falls between existing nodes."""
+    """Preorder arrays from (sa, lcp).
+
+    One stack sweep over the branch depths lists the lcp intervals as (left
+    boundary, right boundary, depth): the root at len(prefix), plus one
+    interval per distinct deeper branch depth.  Leaf k is the interval (k, k)
+    at its suffix length.  Sorting all of them by (left boundary, depth)
+    gives preorder, and a node's subtree ends at the first node whose left
+    boundary lies past its right boundary.
+    """
     sa, lcp, prefix = arrays.sa, arrays.lcp, arrays.prefix
     m = len(sa)
     if m == 0:
         raise CorruptArraysError("empty suffix array")
     if len(lcp) != m - 1:
         raise CorruptArraysError(f"expected {m - 1} lcp triples, got {len(lcp)}")
-    n = text.n
     depth0 = len(prefix)
-    for left, right, depth in lcp:
+    lengths = [text.n - p + 1 for p in sa]
+    if depth0 >= lengths[0]:
+        raise CorruptArraysError(f"suffix {sa[0]} has no symbols below depth {depth0}")
+
+    # a one-leaf subtree has no root interval: the leaf is the root
+    lefts, rights, depths = ([0], [m - 1], [depth0]) if m > 1 else ([], [], [])
+    stack = [(depth0, 0)]  # open intervals on the rightmost path: (depth, left boundary)
+    for k, (left_sym, right_sym, depth) in enumerate(lcp, 1):
         if depth < depth0:
             raise CorruptArraysError(f"branch depth {depth} above the prefix depth {depth0}")
-        if left >= right:
-            raise CorruptArraysError(f"branch symbols out of order ({left} >= {right})")
+        if left_sym >= right_sym:
+            raise CorruptArraysError(f"branch symbols out of order ({left_sym} >= {right_sym})")
+        if depth >= lengths[k - 1] or depth >= lengths[k]:
+            raise CorruptArraysError(
+                f"branch depth {depth} reaches the end of suffix {sa[k - 1]} or {sa[k]}"
+            )
+        lb = k - 1
+        while depth < stack[-1][0]:
+            closed, lb = stack.pop()
+            lefts.append(lb)
+            rights.append(k - 1)
+            depths.append(closed)
+        if depth > stack[-1][0]:
+            stack.append((depth, lb))
+    for open_depth, lb in stack[1:]:
+        lefts.append(lb)
+        rights.append(m - 1)
+        depths.append(open_depth)
 
-    def leaf_for(pos: int, depth: int) -> Node:
-        start = pos + depth
-        if start > n:
-            raise CorruptArraysError(f"suffix {pos} has no symbols below depth {depth}")
-        return Node(start, n - start + 1, leaf_pos=pos)
-
-    if m == 1:
-        return SuffixSubtree(prefix, [leaf_for(sa[0], depth0)])
-
-    nodes: list[Node] = [Node(0, 0)]
-    # rightmost path: (node index, string depth), outermost first
-    stack: list[tuple[int, int]] = [(0, depth0)]
-    nodes.append(leaf_for(sa[0], depth0))
-    nodes[0].children.append(1)
-
-    for i in range(1, m):
-        depth = lcp[i - 1][2]
-        while stack and stack[-1][1] > depth:
-            stack.pop()
-        if not stack:
-            raise CorruptArraysError("branch depth below the subtree root")
-        top_idx, top_depth = stack[-1]
-        if top_depth == depth:
-            parent = top_idx
-        else:
-            # split the last edge of the stack top at the branch depth
-            child_idx = nodes[top_idx].children[-1]
-            child = nodes[child_idx]
-            delta = depth - top_depth
-            if delta >= child.edge_len:
-                raise CorruptArraysError(
-                    f"branch depth {depth} beyond the pending edge (len {child.edge_len})"
-                )
-            mid = Node(child.edge_start, delta, [child_idx])
-            child.edge_start += delta
-            child.edge_len -= delta
-            nodes.append(mid)
-            mid_idx = len(nodes) - 1
-            nodes[top_idx].children[-1] = mid_idx
-            stack.append((mid_idx, depth))
-            parent = mid_idx
-        nodes.append(leaf_for(sa[i], depth))
-        nodes[parent].children.append(len(nodes) - 1)
-
-    return _canonicalize(prefix, nodes, 0)
-
-
-def _canonicalize(prefix: bytes, nodes: list[Node], root: int) -> SuffixSubtree:
-    """Renumber nodes into depth-first preorder."""
-    ordered: list[Node] = []
-    mapping: dict[int, int] = {}
-    stack = [root]
-    while stack:
-        idx = stack.pop()
-        mapping[idx] = len(ordered)
-        ordered.append(nodes[idx])
-        stack.extend(reversed(nodes[idx].children))
-    for node in ordered:
-        node.children = [mapping[c] for c in node.children]
-    return SuffixSubtree(prefix, ordered, 0)
+    ranks = np.arange(m, dtype=np.int64)
+    left = np.concatenate((np.array(lefts, dtype=np.int64), ranks))
+    right = np.concatenate((np.array(rights, dtype=np.int64), ranks))
+    depth = np.concatenate((np.array(depths, dtype=np.int64), np.array(lengths, dtype=np.int64)))
+    order = np.lexsort((depth, left))
+    left, right, depth = left[order], right[order], depth[order]
+    end = np.searchsorted(left, right + 1).astype(np.int64)
+    pos = np.array(sa, dtype=np.int64)[left]
+    return SuffixSubtree(prefix, pos, depth, end)
 
 
 def subtree_to_bytes(tree: SuffixSubtree) -> bytes:
-    out = bytearray()
-    out += _HEADER.pack(SUBTREE_MAGIC, SUBTREE_VERSION, len(tree.prefix))
-    out += tree.prefix
-    out += _COUNT.pack(len(tree.nodes))
-    for node in tree.nodes:
-        out += _NODE_FIXED.pack(node.edge_start, node.edge_len, len(node.children))
-        for child in node.children:
-            out += _CHILD.pack(child)
-        if node.is_leaf:
-            out += _LEAF_FLAG.pack(1)
-            out += _LEAF_POS.pack(node.leaf_pos)
-        else:
-            out += _LEAF_FLAG.pack(0)
-    return bytes(out)
+    """Header, prefix, node count, then pos u64[k], depth u64[k] and
+    end u32[k], all little-endian."""
+    return b"".join(
+        (
+            _HEADER.pack(SUBTREE_MAGIC, SUBTREE_VERSION, len(tree.prefix)),
+            tree.prefix,
+            _COUNT.pack(len(tree.pos)),
+            tree.pos.astype("<u8").tobytes(),
+            tree.depth.astype("<u8").tobytes(),
+            tree.end.astype("<u4").tobytes(),
+        )
+    )
 
 
 def serialize_subtree(
@@ -182,7 +155,7 @@ def serialize_subtree(
     stats: IoStats | None = None,
     block_size: int | None = None,
 ) -> int:
-    """Write the depth-first node layout; returns bytes written."""
+    """Write the preorder array layout; returns bytes written."""
     payload = subtree_to_bytes(tree)
     sink.write(payload)
     if stats is not None and block_size:
@@ -190,7 +163,15 @@ def serialize_subtree(
     return len(payload)
 
 
-def deserialize_subtree(source: bytes | str | Path, name: str = "subtree") -> SuffixSubtree:
+def deserialize_subtree(
+    source: bytes | str | Path, n: int, name: str = "subtree"
+) -> SuffixSubtree:
+    """Read a subtree over a text of ``n`` symbols.
+
+    Every field a query indexes with is range-checked here, so a corrupt
+    file raises IndexCorruptError instead of sending a query out of the text
+    or out of the arrays.
+    """
     if not isinstance(source, bytes):
         name = str(source)
         path = Path(source)
@@ -214,33 +195,21 @@ def deserialize_subtree(source: bytes | str | Path, name: str = "subtree") -> Su
     off += plen
     try:
         (count,) = _COUNT.unpack_from(data, off)
-        off += _COUNT.size
-        nodes: list[Node] = []
-        for _ in range(count):
-            edge_start, edge_len, nchildren = _NODE_FIXED.unpack_from(data, off)
-            off += _NODE_FIXED.size
-            children = [
-                _CHILD.unpack_from(data, off + k * _CHILD.size)[0] for k in range(nchildren)
-            ]
-            if nchildren and off + nchildren * _CHILD.size > len(data):
-                raise struct.error("short child list")
-            off += nchildren * _CHILD.size
-            (flag,) = _LEAF_FLAG.unpack_from(data, off)
-            off += _LEAF_FLAG.size
-            leaf_pos = None
-            if flag:
-                (leaf_pos,) = _LEAF_POS.unpack_from(data, off)
-                off += _LEAF_POS.size
-            nodes.append(Node(edge_start, edge_len, children, leaf_pos))
     except struct.error as exc:
-        raise IndexCorruptError(f"{name}: truncated node records") from exc
-    if off != len(data):
-        raise IndexCorruptError(f"{name}: {len(data) - off} trailing bytes")
-    for node in nodes:
-        for child in node.children:
-            if child >= count:
-                raise IndexCorruptError(f"{name}: child index {child} out of range")
-    return SuffixSubtree(prefix, nodes, 0)
+        raise IndexCorruptError(f"{name}: truncated node count") from exc
+    off += _COUNT.size
+    if count == 0 or len(data) - off != count * _NODE_BYTES:
+        raise IndexCorruptError(f"{name}: {count} nodes do not fill {len(data) - off} payload bytes")
+    pos = np.frombuffer(data, "<u8", count, off)
+    depth = np.frombuffer(data, "<u8", count, off + 8 * count)
+    end = np.frombuffer(data, "<u4", count, off + 16 * count)
+    if pos.min() < 1 or pos.max() > n:
+        raise IndexCorruptError(f"{name}: leaf position outside 1..{n}")
+    if (depth > n + 1 - pos).any():
+        raise IndexCorruptError(f"{name}: node depth beyond the end of its suffix")
+    if end[0] != count or (end <= np.arange(count)).any() or end.max() > count:
+        raise IndexCorruptError(f"{name}: subtree end outside the node range")
+    return SuffixSubtree(prefix, pos.astype(np.int64), depth.astype(np.int64), end.astype(np.int64))
 
 
 def iter_index_leaves(
@@ -278,7 +247,12 @@ class SuffixIndex:
         self.n = n
 
     def load_subtree(self, leaf: TrieLeaf) -> SuffixSubtree:
-        return deserialize_subtree(self.root_dir / leaf.file_name)
+        subtree = deserialize_subtree(self.root_dir / leaf.file_name, self.n)
+        if subtree.prefix != leaf.prefix:
+            raise IndexCorruptError(
+                f"{leaf.file_name}: holds prefix {subtree.prefix.hex()}, not {leaf.prefix.hex()}"
+            )
+        return subtree
 
     def encode_pattern(self, pattern: str | bytes) -> bytes | None:
         """Strings are human representation and go through the text's byte
@@ -315,43 +289,36 @@ class SuffixIndex:
         return self._walk_subtree(pattern, depth, subtree)
 
     def _walk_subtree(self, pattern: bytes, depth: int, subtree: SuffixSubtree) -> _Match:
+        """Match the pattern edge by edge from the subtree root, whose edge
+        starts at the trie depth ``depth``."""
         data = self.text.data
-        idx = subtree.root
-        root = subtree.nodes[idx]
-        if root.edge_len:
-            # single-leaf subtree: the root itself spells the rest of the suffix
-            label = data[root.edge_start - 1 : root.edge_start - 1 + root.edge_len]
-            take = min(len(label), len(pattern) - depth)
-            for k in range(take):
-                if label[k] != pattern[depth + k]:
-                    return _Match(depth + k, False, subtree=subtree, node_index=idx)
-            depth += take
-            return _Match(depth, depth == len(pattern), subtree=subtree, node_index=idx)
+        pos, lower, end = subtree.pos, subtree.depth, subtree.end
+        node = 0
+        if lower[node] < depth:
+            raise IndexCorruptError(f"subtree {subtree.prefix.hex()}: root above its prefix")
         while True:
+            start = int(pos[node]) - 1
+            bottom = int(lower[node])
+            edge = data[start + depth : start + bottom]
+            want = pattern[depth:bottom]
+            if edge[: len(want)] != want:
+                k = next(k for k, (a, b) in enumerate(zip(edge, want)) if a != b)
+                return _Match(depth + k, False, subtree=subtree, node_index=node)
+            depth += len(want)
             if depth == len(pattern):
-                return _Match(depth, True, subtree=subtree, node_index=idx)
-            node = subtree.nodes[idx]
-            nxt = None
-            for child_idx in node.children:
-                child = subtree.nodes[child_idx]
-                if data[child.edge_start - 1] == pattern[depth]:
-                    nxt = child_idx
+                return _Match(depth, True, subtree=subtree, node_index=node)
+            child, stop = node + 1, int(end[node])
+            while True:
+                if child >= stop:
+                    return _Match(depth, False, subtree=subtree, node_index=node)
+                if lower[child] <= depth:
+                    raise IndexCorruptError(
+                        f"subtree {subtree.prefix.hex()}: node {child} is not below its parent"
+                    )
+                if data[int(pos[child]) + depth - 1] == pattern[depth]:
                     break
-            if nxt is None:
-                return _Match(depth, False, subtree=subtree, node_index=idx)
-            child = subtree.nodes[nxt]
-            label = data[child.edge_start - 1 : child.edge_start - 1 + child.edge_len]
-            take = min(len(label), len(pattern) - depth)
-            for k in range(1, take):
-                if label[k] != pattern[depth + k]:
-                    # mismatch inside the edge: everything below nxt shares
-                    # the matched part
-                    return _Match(depth + k, False, subtree=subtree, node_index=nxt)
-            depth += take
-            if take < len(label):
-                # pattern exhausted mid-edge
-                return _Match(depth, True, subtree=subtree, node_index=nxt)
-            idx = nxt
+                child = int(end[child])
+            node = child
 
     # -- collection helpers -------------------------------------------------
 
@@ -367,7 +334,7 @@ class SuffixIndex:
 
     def _first_witness(self, match: _Match) -> int | None:
         if match.subtree is not None:
-            return next(match.subtree.iter_leaves(match.node_index), None)
+            return int(match.subtree.pos[match.node_index])
         if match.trie_node is not None:
             return next(self._trie_positions(match.trie_node), None)
         return None
@@ -418,14 +385,3 @@ class SuffixIndex:
             return (0, None)
         return (match.depth, self._first_witness(match))
 
-
-def query_exists(index: SuffixIndex, pattern: str | bytes) -> bool:
-    return index.exists(pattern)
-
-
-def query_locate(index: SuffixIndex, pattern: str | bytes) -> list[int]:
-    return index.locate(pattern)
-
-
-def query_longest_prefix(index: SuffixIndex, pattern: str | bytes) -> tuple[int, int | None]:
-    return index.longest_prefix(pattern)

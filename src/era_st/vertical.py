@@ -13,7 +13,6 @@ first-fit-decreasing into bins of combined frequency at most floor(M/B).
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,58 +122,6 @@ def _count_windows(data: bytes, cands: list[bytes], length: int, sigma: int) -> 
     out = {}
     for rank, orig in enumerate(order):
         out[cands[orig]] = int(counts[rank])
-    return out
-
-
-def count_frequencies_parallel(
-    text: Text,
-    candidates,
-    p: int,
-    readers: list[BlockReader] | None = None,
-) -> dict[bytes, int]:
-    """Chunked frequency count: worker k owns an even share of the window
-    start positions and reads its chunk plus L-1 symbols of overlap, so no
-    occurrence is lost or double-counted.  p=1 delegates to the sequential
-    path, counters included.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    cands = [bytes(c) for c in candidates]
-    if not cands:
-        raise ValueError("candidate set must be non-empty")
-    length = len(cands[0])
-    if any(len(c) != length for c in cands):
-        raise ValueError("candidates must all share one length")
-    if readers is None:
-        readers = [
-            BlockReader(text, 1, IoStats(PHASE_VERTICAL, w)) for w in range(p)
-        ]
-    if len(readers) < p:
-        raise ValueError("need one reader per worker")
-    if p == 1:
-        return count_frequencies(text, cands, readers[0])
-
-    windows = text.n - length + 1
-    if windows <= 0:
-        return {c: 0 for c in cands}
-    bounds = [(windows * k) // p for k in range(p + 1)]
-
-    def chunk_count(k: int) -> dict[bytes, int]:
-        lo, hi = bounds[k], bounds[k + 1]
-        if lo >= hi:
-            return {c: 0 for c in cands}
-        # window starts lo..hi-1 (0-based) need symbols lo .. hi-1+length-1
-        start = lo + 1
-        span = (hi - 1 + length) - lo
-        chunk = readers[k].read_range(start, span)
-        return _count_windows(chunk, cands, length, text.sigma)
-
-    with ThreadPoolExecutor(max_workers=p) as pool:
-        partials = list(pool.map(chunk_count, range(p)))
-    out = {c: 0 for c in cands}
-    for part in partials:
-        for c, v in part.items():
-            out[c] += v
     return out
 
 
@@ -371,7 +318,10 @@ class TopTrie:
                 off += nlen
             except struct.error as exc:
                 raise IndexCorruptError(f"{source}: truncated entry ({exc})") from exc
-            trie.insert(TrieLeaf(prefix, name.decode() if nlen else None))
+            try:
+                trie.insert(TrieLeaf(prefix, name.decode() if nlen else None))
+            except ValueError as exc:  # a duplicate prefix, or a name that is not UTF-8
+                raise IndexCorruptError(f"{source}: bad entry ({exc})") from exc
         if off != len(data):
             raise IndexCorruptError(f"{source}: {len(data) - off} trailing bytes")
         return trie

@@ -44,6 +44,16 @@ def brute_arrays(text: Text, prefix: bytes):
     return sa, lcp
 
 
+def child_nodes(end: list[int], i: int) -> list[int]:
+    """Children of preorder node i, given a subtree's ``end`` array."""
+    out = []
+    c = i + 1
+    while c < end[i]:
+        out.append(c)
+        c = end[c]
+    return out
+
+
 def classic_first_fit_decreasing(weights: list[int], capacity: int) -> list[list[int]]:
     """Textbook FFD: sorted descending, each item into the first open bin that
     still has room."""

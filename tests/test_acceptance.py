@@ -36,6 +36,7 @@ from era_st.vertical import (
     pack_virtual_trees,
     partition_prefixes,
 )
+from helpers import child_nodes
 
 
 def report(criterion: int, message: str) -> None:
@@ -51,40 +52,38 @@ def cfg(m, b, **kw):
 # --------------------------------------------------------------------------
 
 
-def first_symbols(tree: SuffixSubtree, text: Text, node):
-    return [text.data[tree.nodes[c].edge_start - 1] for c in node.children]
-
-
 def check_tree_invariants(tree: SuffixSubtree, text: Text, frequency: int) -> None:
-    assert tree.leaf_count() == frequency, "leaf count != prefix frequency"
-    assert len(tree.nodes) <= 2 * frequency, "node count above the 2f budget"
-    for i, node in enumerate(tree.nodes):
-        if node.is_leaf:
-            assert not node.children
+    pos, depth, end = tree.pos.tolist(), tree.depth.tolist(), tree.end.tolist()
+    leaves = [i for i in range(len(end)) if end[i] == i + 1]
+    assert len(leaves) == frequency, "leaf count != prefix frequency"
+    assert len(pos) <= 2 * frequency, "node count above the 2f budget"
+    for i in range(len(pos)):
+        if end[i] == i + 1:
             continue
-        if i != tree.root:
-            assert len(node.children) >= 2, "internal node below degree 2"
-        symbols = first_symbols(tree, text, node)
+        children = child_nodes(end, i)
+        assert end[children[-1]] == end[i], "children do not cover the subtree"
+        if i != 0:
+            assert len(children) >= 2, "internal node below degree 2"
+        assert all(depth[c] > depth[i] for c in children), "child not below its parent"
+        symbols = [text.data[pos[c] + depth[i] - 1] for c in children]
         assert symbols == sorted(symbols) and len(set(symbols)) == len(symbols), (
             "children not strictly ordered"
         )
-    assert deserialize_subtree(subtree_to_bytes(tree)) == tree, "round-trip drift"
+    assert deserialize_subtree(subtree_to_bytes(tree), text.n) == tree, "round-trip drift"
 
 
-def adjacent_branch_depths(tree: SuffixSubtree, base_depth: int) -> list[int]:
+def adjacent_branch_depths(tree: SuffixSubtree) -> list[int]:
     """Depth of the branch point between consecutive leaves, from structure."""
+    depth, end = tree.depth.tolist(), tree.end.tolist()
     depths: list[int] = []
 
-    def walk(idx: int, depth: int) -> None:
-        node = tree.nodes[idx]
-        if node.is_leaf:
-            return
-        for i, child in enumerate(node.children):
-            if i > 0:
-                depths.append(depth)
-            walk(child, depth + tree.nodes[child].edge_len)
+    def walk(i: int) -> None:
+        for k, child in enumerate(child_nodes(end, i)):
+            if k > 0:
+                depths.append(depth[i])
+            walk(child)
 
-    walk(tree.root, base_depth)
+    walk(0)
     return depths
 
 
@@ -150,7 +149,7 @@ def corpus_tally(tmp_path_factory):
             tree = index.load_subtree(leaf)
             check_tree_invariants(tree, index.text, freq[leaf.prefix])
             leaves = tree.leaf_positions()
-            depths = adjacent_branch_depths(tree, len(leaf.prefix))
+            depths = adjacent_branch_depths(tree)
             for i in range(1, len(leaves)):
                 assert depths[i - 1] == naive_pair_lcp(text, leaves[i - 1], leaves[i])
             tally.subtrees += 1

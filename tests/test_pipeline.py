@@ -1,11 +1,13 @@
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from era_st.blockio import PHASE_SERIALIZE, PHASE_VERTICAL, total_counters
-from era_st.errors import SkewedInputError
+from era_st.cli import main
+from era_st.errors import IndexCorruptError, SkewedInputError
 from era_st.oracle import naive_search, naive_suffix_array
 from era_st.pipeline import (
     build_index,
@@ -17,7 +19,6 @@ from era_st.pipeline import (
     verify_index,
 )
 from era_st.text import BuildConfig, Text, from_str, generate_random_text
-from era_st.tree import query_exists, query_locate, query_longest_prefix
 
 
 def cfg(m, b, **kw):
@@ -70,6 +71,16 @@ class TestBuildArtifacts:
         assert files1 == sorted(p.name for p in d2.iterdir())
         for name in files1:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+    def test_rebuild_into_used_directory_matches_fresh(self, tmp_path):
+        t = generate_random_text(4000, 4, 8)
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        build_index(t, cfg(2**10, 16), used)
+        build_index(t, cfg(2**14, 16), used)
+        build_index(t, cfg(2**14, 16), fresh)
+        names = sorted(p.name for p in fresh.iterdir())
+        assert sorted(p.name for p in used.iterdir()) == names
+        assert index_digest(used) == index_digest(fresh)
 
     def test_leaf_totals_cover_every_suffix(self, tmp_path):
         t = generate_random_text(500, 4, 2)
@@ -125,39 +136,39 @@ class TestLeafSequence:
 class TestQueries:
     def test_exists_examples(self, banana_index):
         _, _, idx = banana_index
-        assert query_exists(idx, "nan") is True
-        assert query_exists(idx, "nab") is False
-        assert query_exists(idx, "") is True
+        assert idx.exists("nan") is True
+        assert idx.exists("nab") is False
+        assert idx.exists("") is True
 
     def test_locate_examples(self, banana_index):
         _, _, idx = banana_index
-        assert query_locate(idx, "ana") == [2, 4]
-        assert query_locate(idx, "x") == []
+        assert idx.locate("ana") == [2, 4]
+        assert idx.locate("x") == []
 
     def test_locate_mississippi(self, mississippi_index):
         _, _, idx = mississippi_index
-        assert query_locate(idx, "issi") == [2, 5]
+        assert idx.locate("issi") == [2, 5]
 
     def test_longest_examples(self, banana_index):
         _, _, idx = banana_index
-        assert query_longest_prefix(idx, "nanas") == (4, 3)
-        assert query_longest_prefix(idx, "banana") == (6, 1)
-        assert query_longest_prefix(idx, "zzz") == (0, None)
+        assert idx.longest_prefix("nanas") == (4, 3)
+        assert idx.longest_prefix("banana") == (6, 1)
+        assert idx.longest_prefix("zzz") == (0, None)
 
     def test_empty_pattern(self, banana_index):
         t, _, idx = banana_index
-        assert query_locate(idx, "") == list(range(1, t.n + 1))
-        assert query_longest_prefix(idx, "") == (0, None)
+        assert idx.locate("") == list(range(1, t.n + 1))
+        assert idx.longest_prefix("") == (0, None)
 
     def test_delimiter_pattern_via_bytes(self, banana_index):
         t, _, idx = banana_index
-        assert query_locate(idx, b"\x01\x00") == [6]  # "a$"
-        assert query_exists(idx, b"\x00") is True
+        assert idx.locate(b"\x01\x00") == [6]  # "a$"
+        assert idx.exists(b"\x00") is True
 
     def test_pattern_longer_than_text(self, banana_index):
         _, _, idx = banana_index
-        assert query_exists(idx, "banana$x") is False
-        length, witness = query_longest_prefix(idx, "banana$x")
+        assert idx.exists("banana$x") is False
+        length, witness = idx.longest_prefix("banana$x")
         assert (length, witness) == (7, 1)
 
     def test_query_equivalence_random(self, tmp_path):
@@ -235,6 +246,97 @@ class TestVerify:
         files[1].write_bytes(a)
         outcome = verify_index(d, t)
         assert not outcome.ok
+
+
+def subtree_holding(index, pattern: bytes):
+    """The trie leaf whose subtree a walk for ``pattern`` loads."""
+    return next(
+        leaf for leaf in index.trie.iter_leaves()
+        if not leaf.is_direct and pattern.startswith(leaf.prefix)
+    )
+
+
+def patch_u64(path, field: int, node: int, value: int) -> None:
+    """Overwrite node's entry of the pos (field 0) or depth (field 1) array."""
+    blob = bytearray(path.read_bytes())
+    (plen,) = struct.unpack_from("<H", blob, 6)
+    (count,) = struct.unpack_from("<Q", blob, 8 + plen)
+    struct.pack_into("<Q", blob, 16 + plen + 8 * (field * count + node), value)
+    path.write_bytes(bytes(blob))
+
+
+class TestCorruptSubtreeFile:
+    def built(self, tmp_path):
+        t = from_str("mississippi$")
+        d = tmp_path / "idx"
+        build_index(t, cfg(8, 1), d)
+        idx = open_index(d)
+        pattern = idx.encode_pattern("ssi")
+        return t, d, idx, pattern, d / subtree_holding(idx, pattern).file_name
+
+    def test_out_of_range_position_rejected_everywhere(self, tmp_path, capsys):
+        t, d, idx, pattern, victim = self.built(tmp_path)
+        patch_u64(victim, 0, 1, t.n + 5)
+        for query in (idx.exists, idx.locate, idx.longest_prefix):
+            with pytest.raises(IndexCorruptError):
+                query(pattern)
+        with pytest.raises(IndexCorruptError):
+            list(idx.iter_leaf_positions())
+        outcome = verify_index(d, t)
+        assert outcome.exit_code == 1 and victim.name in outcome.detail
+        assert main(["query", str(d), "locate", "ssi"]) == 1
+        assert "corrupt index" in capsys.readouterr().err
+
+    def test_child_not_below_parent_rejected_by_walk(self, tmp_path):
+        _, _, idx, pattern, victim = self.built(tmp_path)
+        patch_u64(victim, 1, 1, 1)  # node 1 at the root's depth
+        with pytest.raises(IndexCorruptError, match="not below its parent"):
+            idx.exists(pattern)
+
+
+@pytest.fixture(scope="module")
+def fuzz_index(tmp_path_factory):
+    t = generate_random_text(300, 3, 4)
+    d = tmp_path_factory.mktemp("fuzz")
+    build_index(t, cfg(64, 1), d)
+    idx = open_index(d)
+    victim = max(d.glob("st_*"), key=lambda p: p.stat().st_size)
+    prefix = next(l.prefix for l in idx.trie.iter_leaves() if l.file_name == victim.name)
+    starts = naive_search(t, prefix)
+    patterns = [prefix, prefix + b"\x03\x03\x03"]
+    patterns += [t.data[p - 1 : p - 1 + k] for p in starts[:8] for k in (len(prefix) + 1, 6, 40)]
+    return d, victim, patterns
+
+
+class TestCorruptionFuzz:
+    @settings(max_examples=200)
+    @given(
+        flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), max_size=4),
+        cut=st.one_of(st.none(), st.integers(0, 10**6)),
+    )
+    def test_damaged_subtree_answers_or_raises_corrupt(self, fuzz_index, flips, cut):
+        d, victim, patterns = fuzz_index
+        original = victim.read_bytes()
+        blob = bytearray(original)
+        for at, mask in flips:
+            blob[at % len(blob)] ^= mask
+        if cut is not None:
+            blob = blob[: cut % len(blob)]
+        victim.write_bytes(bytes(blob))
+        try:
+            idx = open_index(d)
+            for pattern in patterns:
+                for query in (idx.exists, idx.locate, idx.longest_prefix):
+                    try:
+                        query(pattern)
+                    except IndexCorruptError:
+                        pass
+            try:
+                list(idx.iter_leaf_positions())
+            except IndexCorruptError:
+                pass
+        finally:
+            victim.write_bytes(original)
 
 
 class TestDigestDeterminism:

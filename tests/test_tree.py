@@ -17,7 +17,7 @@ from era_st.tree import (
     serialize_subtree,
     subtree_to_bytes,
 )
-from helpers import brute_arrays, substring_positions
+from helpers import brute_arrays, child_nodes, substring_positions
 
 
 def sym(text, s):
@@ -29,8 +29,13 @@ def arrays_for(text, prefix):
     return SubtreeArrays(prefix, sa, lcp)
 
 
-def first_edge_symbol(tree, text, node):
-    return text.data[node.edge_start - 1]
+def first_edge_symbols(tree, text, i):
+    """First symbol of the edge into each child of node i."""
+    return [text.data[tree.pos[c] + tree.depth[i] - 1] for c in child_nodes(tree.end.tolist(), i)]
+
+
+def is_leaf(tree, i):
+    return tree.end[i] == i + 1
 
 
 class TestBuildSubtree:
@@ -38,59 +43,50 @@ class TestBuildSubtree:
         t = from_str("banana$")
         tree = build_subtree(arrays_for(t, sym(t, "a")), t)
         assert tree.leaf_positions() == [6, 4, 2]
-        root = tree.nodes[tree.root]
-        assert root.edge_len == 0 and len(root.children) == 2
-        dollar_leaf = tree.nodes[root.children[0]]
-        assert dollar_leaf.leaf_pos == 6
-        assert first_edge_symbol(tree, t, dollar_leaf) == 0
-        mid = tree.nodes[root.children[1]]
-        assert not mid.is_leaf and len(mid.children) == 2
-        # the internal node sits at string depth 3 ("ana"): edge "na" below depth 1
-        assert mid.edge_len == 2
-        assert [tree.nodes[c].leaf_pos for c in mid.children] == [4, 2]
-        assert len(tree.nodes) == 5
+        # preorder: root at depth 1, leaf "a$", internal "ana", leaves "ana$", "anana$"
+        assert tree.pos.tolist() == [6, 6, 4, 4, 2]
+        assert tree.depth.tolist() == [1, 2, 3, 4, 6]
+        assert tree.end.tolist() == [5, 2, 5, 4, 5]
+        assert child_nodes(tree.end.tolist(), 0) == [1, 2]
+        assert first_edge_symbols(tree, t, 0) == [0, sym(t, "n")[0]]
+        assert child_nodes(tree.end.tolist(), 2) == [3, 4]
 
     def test_single_leaf_spans_to_text_end(self):
         t = from_str("banana$")
         tree = build_subtree(arrays_for(t, sym(t, "b")), t)
-        assert len(tree.nodes) == 1
-        root = tree.nodes[tree.root]
-        assert root.is_leaf and root.leaf_pos == 1
-        assert root.edge_start == 2 and root.edge_len == 6  # "anana$"
+        assert len(tree.pos) == 1 and is_leaf(tree, 0)
+        assert tree.pos[0] == 1 and tree.depth[0] == 7
+        # the edge below the prefix "b" runs to the text end: "anana$"
+        assert t.data[tree.pos[0] + 1 - 1 : tree.pos[0] + tree.depth[0] - 1] == sym(t, "anana") + b"\x00"
 
     def test_mississippi_i_shape(self):
         t = from_str("mississippi$")
         tree = build_subtree(arrays_for(t, sym(t, "i")), t)
         assert tree.leaf_positions() == [11, 8, 5, 2]
-        assert tree.leaf_count() == 4
-        internals = [n for n in tree.nodes if not n.is_leaf]
-        assert len(internals) == 2
-        # string depths of the internal nodes: the root at |pi|=1, a branch at 4
-        root = tree.nodes[tree.root]
-        deep = next(n for n in internals if n is not root)
-        assert root.edge_len == 0
-        assert deep.edge_len == 3  # "ssi" below depth 1
+        internals = [i for i in range(len(tree.pos)) if not is_leaf(tree, i)]
+        # string depths of the internal nodes: the root at |pi|=1, a branch at 4 ("issi")
+        assert internals == [0, 3]
+        assert tree.depth[0] == 1 and tree.depth[3] == 4
 
     def test_root_may_have_single_child(self):
         t = from_str("banana$")
         tree = build_subtree(arrays_for(t, sym(t, "an")), t)
-        root = tree.nodes[tree.root]
-        assert len(root.children) == 1
+        assert len(child_nodes(tree.end.tolist(), 0)) == 1
         assert tree.leaf_positions() == [4, 2]
 
     def test_internal_degree_at_least_two_below_root(self):
         t = from_str("mississippi$")
         for c in "imps":
             tree = build_subtree(arrays_for(t, sym(t, c)), t)
-            for i, node in enumerate(tree.nodes):
-                if not node.is_leaf and i != tree.root:
-                    assert len(node.children) >= 2
+            for i in range(1, len(tree.pos)):
+                if not is_leaf(tree, i):
+                    assert len(child_nodes(tree.end.tolist(), i)) >= 2
 
     def test_children_ordered_by_first_symbol(self):
         t = from_str("mississippi$")
         tree = build_subtree(arrays_for(t, sym(t, "s")), t)
-        for node in tree.nodes:
-            symbols = [first_edge_symbol(tree, t, tree.nodes[c]) for c in node.children]
+        for i in range(len(tree.pos)):
+            symbols = first_edge_symbols(tree, t, i)
             assert symbols == sorted(symbols)
             assert len(set(symbols)) == len(symbols)
 
@@ -118,8 +114,17 @@ class TestBuildSubtree:
             prefix = sym(t, c)
             tree = build_subtree(arrays_for(t, prefix), t)
             f = len(substring_positions(t.data, prefix))
-            assert tree.leaf_count() == f
-            assert len(tree.nodes) <= 2 * f
+            assert len(tree.leaf_positions()) == f
+            assert len(tree.pos) <= 2 * f
+
+
+def v2_layout(prefix, pos, depth, end):
+    k = len(pos)
+    return (
+        struct.pack("<4sHH", SUBTREE_MAGIC, 2, len(prefix))
+        + prefix
+        + struct.pack(f"<Q{k}Q{k}Q{k}I", k, *pos, *depth, *end)
+    )
 
 
 class TestSerialization:
@@ -128,23 +133,21 @@ class TestSerialization:
             t = from_str(s)
             for c in sorted(set(s) - {"$"}):
                 tree = build_subtree(arrays_for(t, sym(t, c)), t)
-                assert deserialize_subtree(subtree_to_bytes(tree)) == tree
+                assert deserialize_subtree(subtree_to_bytes(tree), t.n) == tree
 
     def test_single_leaf_is_header_plus_one_record(self):
         t = from_str("banana$")
         tree = build_subtree(arrays_for(t, sym(t, "b")), t)
         blob = subtree_to_bytes(tree)
         header = struct.calcsize("<4sHH") + 1 + struct.calcsize("<Q")
-        record = struct.calcsize("<QQH") + struct.calcsize("<B") + struct.calcsize("<Q")
+        record = struct.calcsize("<QQI")
         assert len(blob) == header + record
 
     def test_exact_little_endian_layout(self):
         t = from_str("banana$")
-        tree = build_subtree(arrays_for(t, sym(t, "b")), t)
-        expected = struct.pack("<4sHH", SUBTREE_MAGIC, SUBTREE_VERSION, 1)
-        expected += sym(t, "b")
-        expected += struct.pack("<Q", 1)
-        expected += struct.pack("<QQH", 2, 6, 0) + struct.pack("<B", 1) + struct.pack("<Q", 1)
+        tree = build_subtree(arrays_for(t, sym(t, "a")), t)
+        assert SUBTREE_VERSION == 2
+        expected = v2_layout(sym(t, "a"), [6, 6, 4, 4, 2], [1, 2, 3, 4, 6], [5, 2, 5, 4, 5])
         assert subtree_to_bytes(tree) == expected
 
     def test_banana_a_record_count(self):
@@ -152,8 +155,8 @@ class TestSerialization:
         t = from_str("banana$")
         tree = build_subtree(arrays_for(t, sym(t, "a")), t)
         blob = subtree_to_bytes(tree)
-        back = deserialize_subtree(blob)
-        assert len(back.nodes) == 5
+        back = deserialize_subtree(blob, t.n)
+        assert len(back.pos) == 5
 
     def test_bytes_written_and_charge(self):
         t = from_str("banana$")
@@ -169,15 +172,47 @@ class TestSerialization:
         tree = build_subtree(arrays_for(t, sym(t, "a")), t)
         blob = subtree_to_bytes(tree)
         with pytest.raises(IndexCorruptError):
-            deserialize_subtree(blob[:-4])
+            deserialize_subtree(blob[:-4], t.n)
         with pytest.raises(IndexCorruptError):
-            deserialize_subtree(b"NOPE" + blob[4:])
+            deserialize_subtree(b"NOPE" + blob[4:], t.n)
         with pytest.raises(IndexCorruptError):
-            deserialize_subtree(blob + b"\x00")
+            deserialize_subtree(blob + b"\x00", t.n)
+        with pytest.raises(IndexCorruptError, match="unsupported version 1"):
+            deserialize_subtree(blob[:4] + struct.pack("<H", 1) + blob[6:], t.n)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("pos", 0),  # positions are 1-based
+            ("pos", 8),  # past n = 7
+            ("depth", 5),  # suffix 4 has only 4 symbols
+            ("end", 3),  # end[3] must exceed 3
+            ("end", 6),  # past the node count
+            ("end0", 4),  # the root spans every node
+            ("count", 6),  # node count disagrees with the payload
+        ],
+    )
+    def test_out_of_range_fields_rejected(self, field, value):
+        t = from_str("banana$")
+        pos, depth, end = [6, 6, 4, 4, 2], [1, 2, 3, 4, 6], [5, 2, 5, 4, 5]
+        assert deserialize_subtree(v2_layout(sym(t, "a"), pos, depth, end), t.n)
+        if field == "pos":
+            pos[3] = value
+        elif field == "depth":
+            depth[3] = value
+        elif field == "end":
+            end[3] = value
+        elif field == "end0":
+            end[0] = value
+        blob = v2_layout(sym(t, "a"), pos, depth, end)
+        if field == "count":
+            blob = blob[:9] + struct.pack("<Q", value) + blob[17:]
+        with pytest.raises(IndexCorruptError):
+            deserialize_subtree(blob, t.n)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IndexCorruptError):
-            deserialize_subtree(tmp_path / "st_none")
+            deserialize_subtree(tmp_path / "st_none", 7)
 
     @settings(max_examples=40)
     @given(
@@ -193,7 +228,7 @@ class TestSerialization:
         if not substring_positions(text.data, prefix):
             return
         tree = build_subtree(arrays_for(text, prefix), text)
-        assert deserialize_subtree(subtree_to_bytes(tree)) == tree
+        assert deserialize_subtree(subtree_to_bytes(tree), text.n) == tree
 
 
 class TestLeafOrderEqualsPreparedSa:

@@ -16,7 +16,6 @@ from era_st.vertical import (
     VirtualTree,
     build_top_trie,
     count_frequencies,
-    count_frequencies_parallel,
     pack_virtual_trees,
     partition_prefixes,
     subtree_file_name,
@@ -87,35 +86,6 @@ class TestCountFrequencies:
         got_few = count_frequencies(t, few, fresh_reader(t))
         for c in few:
             assert got_many[c] == got_few[c] == substring_count(t.data, c)
-
-
-class TestCountFrequenciesParallel:
-    @pytest.mark.parametrize("p", [1, 2, 3, 7])
-    def test_equivalent_to_sequential(self, p):
-        t = generate_random_text(300, 4, 1)
-        cands = [b"\x01", b"\x02", b"\x03", b"\x04"]
-        seq = count_frequencies(t, cands, fresh_reader(t))
-        assert count_frequencies_parallel(t, cands, p) == seq
-
-    def test_boundary_occurrence_counted_once(self):
-        t = from_str("abab$")
-        pat = sym(t, "ab")
-        assert count_frequencies_parallel(t, [pat], 2) == {pat: 2}
-
-    def test_p1_counters_bitwise_identical(self):
-        t = generate_random_text(100, 2, 2)
-        seq_reader = fresh_reader(t, block=4)
-        count_frequencies(t, [b"\x01"], seq_reader)
-        par_reader = fresh_reader(t, block=4)
-        count_frequencies_parallel(t, [b"\x01"], 1, readers=[par_reader])
-        assert par_reader.stats == seq_reader.stats
-
-    @pytest.mark.parametrize("p", [2, 5])
-    def test_multi_symbol_patterns_across_chunks(self, p):
-        t = generate_random_text(257, 2, 9)
-        cands = [b"\x01\x01\x02", b"\x02\x01\x02"]
-        seq = count_frequencies(t, cands, fresh_reader(t))
-        assert count_frequencies_parallel(t, cands, p) == seq
 
 
 class TestPartition:
@@ -327,3 +297,16 @@ class TestTrieSerialization:
             TopTrie.from_bytes(blob[:-3])
         with pytest.raises(IndexCorruptError):
             TopTrie.from_bytes(b"XXXX" + blob[4:])
+
+    def test_bad_entries_rejected(self):
+        from era_st.errors import IndexCorruptError
+
+        trie = build_top_trie([PrefixEntry(b"\x02", 1)], [b"\x00"], sigma=3)
+        blob = trie.to_bytes()
+        entry = struct.pack("<H", 1) + b"\x02" + struct.pack("<H", 5) + b"st_02"
+        duplicated = blob[:8] + struct.pack("<Q", 3) + blob[16:] + entry
+        with pytest.raises(IndexCorruptError, match="duplicate"):
+            TopTrie.from_bytes(duplicated)
+        not_utf8 = blob.replace(b"st_02", b"st_\xff2")
+        with pytest.raises(IndexCorruptError):
+            TopTrie.from_bytes(not_utf8)
