@@ -15,6 +15,8 @@ import io
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .errors import RangeError
 from .text import Text
 
@@ -116,29 +118,37 @@ class BlockReader:
         self.stats.blocks_read += nblocks
         self._resident = nblocks - 1
 
+    def charge_ranges(self, starts, length: int) -> None:
+        """Account one read of up to ``length`` symbols at each 1-based start.
+
+        The reads are charged in the given order, exactly as a sequence of
+        ``read_range`` calls: a read spanning blocks b0..b1 costs b1-b0+1
+        transfers, one fewer when b0 is the block the previous read (or the
+        reader's earlier access) left resident.
+        """
+        starts = np.asarray(starts, dtype=np.int64)
+        if len(starts) == 0:
+            return
+        n = self.n
+        if starts.min() < 1 or starts.max() > n:
+            bad = starts[(starts < 1) | (starts > n)][0]
+            raise RangeError(f"range start {bad} outside 1..{n}")
+        if length < 1:
+            raise RangeError(f"range length {length} must be >= 1")
+        block = self.block_size
+        b0 = (starts - 1) // block
+        b1 = (np.minimum(starts + (length - 1), n) - 1) // block
+        reused = np.count_nonzero(b0[1:] == b1[:-1]) + (b0[0] == self._resident)
+        stats = self.stats
+        stats.blocks_read += int((b1 - b0).sum()) + len(starts) - int(reused)
+        stats.range_reads += len(starts)
+        self._resident = int(b1[-1])
+
     def read_range(self, start: int, length: int) -> bytes:
         """Read up to ``length`` symbols starting at 1-based ``start``.
 
-        The result is truncated at the text end, never padded.  Charges one
-        transfer per block touched that is not already resident.
+        The result is truncated at the text end, never padded, and charged
+        by ``charge_ranges``.
         """
-        n = self.n
-        if start < 1 or start > n:
-            raise RangeError(f"range start {start} outside 1..{n}")
-        if length < 1:
-            raise RangeError(f"range length {length} must be >= 1")
-        end = start + length - 1
-        if end > n:
-            end = n
-        block = self.block_size
-        b0 = (start - 1) // block
-        b1 = (end - 1) // block
-        charged = b1 - b0 + 1
-        if self._resident == b0:
-            charged -= 1
-        stats = self.stats
-        stats.blocks_read += charged
-        stats.range_reads += 1
-        self._resident = b1
-        return self._data[start - 1 : end]
-
+        self.charge_ranges((start,), length)
+        return self._data[start - 1 : start - 1 + length]

@@ -1,23 +1,33 @@
-"""Horizontal partitioning: construct each suffix subtree by repeated ranged
-reads and in-memory sorting of the still-tied suffixes.
+"""Horizontal partitioning: sort the suffixes sharing each prefix into a
+relative suffix array with LCP triples, and charge the ranged reads of ERA's
+preparation rounds.
 
-For one prefix pi with occurrence positions SA, the preparation loop keeps,
-per suffix, a buffer of the most recently read chunk.  Each round it
+ERA prepares one prefix pi with occurrence positions P in rounds.  Each round
+picks a chunk length ``range`` with B <= range <= M_work from the number of
+still-active suffixes, reads ``range`` fresh symbols of every suffix whose
+branches are unfinished, sorts the chunks inside each run of still-tied
+suffixes, and records an LCP triple (left symbol, right symbol, absolute
+depth) wherever neighbours diverge.  A suffix retires once both of its
+branches are recorded.
 
-  1. picks a chunk length ``range`` with B <= range <= M_work,
-  2. reads ``range`` fresh symbols for every suffix whose branch is still
-     unfinished,
-  3. sorts the buffers inside every active area (a maximal run of suffixes
-     whose relative order is still undetermined), splitting runs of equal
-     buffers into new active areas,
-  4. where adjacent buffers diverge, records the branch as an LCP triple
-     (left symbol, right symbol, absolute depth) and retires suffixes whose
-     both neighbors are settled.
+Here the order and the triples are computed directly over a numpy view of
+the text: the suffixes are sorted by W-symbol windows, and only runs that are
+still tied are extended by the next W symbols (past the text end the windows
+hold the delimiter 0, which is unique and smallest).  The rounds become a cost
+model replayed over the branch depths: the round starting at depth ``start``
+records every branch whose depth lies in [start, start + range), so the
+suffixes it reads are those with a neighbour branch at depth >= start.  Their
+reads are charged in original-slot order by ``BlockReader.charge_ranges``
+with the unchanged one-resident-block rule, so the counters and round counts
+are the loop's, bit for bit.  The ordering is extended only up to the start of
+the round being replayed, so it never looks further into a suffix than the
+rounds read.
 
 Ties can only break, never re-form, and the unique terminal delimiter breaks
-every tie eventually, so the loop terminates -- unless the text repeats a
-substring longer than the configured guard, which raises SkewedInputError
-instead of grinding through a near-quadratic build.
+every tie eventually, so the rounds end -- unless the text repeats a
+substring longer than the configured guard: a round that would start past the
+guard raises SkewedInputError instead of grinding through a near-quadratic
+build.
 
 Virtual trees are processed by p workers with a fixed round-robin
 assignment; every worker owns its reader and counters, so identical inputs
@@ -32,12 +42,19 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
+from ._codes import max_code_len, pattern_code, window_codes
 from .blockio import PHASE_HORIZONTAL, PHASE_SERIALIZE, BlockReader, IoStats
 from .errors import BuildError, SkewedInputError
 from .text import BuildConfig, Text
 from .vertical import VirtualTree, subtree_file_name
 
-DONE = -1
+# symbols per ordering window: two big-endian u64 sort keys
+_WINDOW = 16
+_COLUMNS = np.arange(_WINDOW)
+# branch depth of a pair still tied: deeper than any round start
+_TIED = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -55,28 +72,6 @@ class SubtreeArrays:
     sa: list[int]
     lcp: list[tuple[int, int, int]]
     iterations: int = field(default=0, compare=False)
-
-
-@dataclass
-class PrepareState:
-    """Mutable loop state for one subtree preparation.
-
-    ``pos_map[k]`` is the original slot of the suffix currently at slot k and
-    ``isa`` its inverse (DONE once the suffix's branch is finished), so
-    ``isa[pos_map[k]] == k`` for every unfinished slot.  ``area[k]`` groups
-    slots whose relative order is still undetermined; equal ids are always
-    contiguous.  ``start`` is the absolute depth already consumed.
-    """
-
-    sa: list[int]
-    isa: list[int]
-    area: list[int]
-    buf: list[bytes]
-    pos_map: list[int]
-    start: int
-    range_: int
-    active_count: int
-    next_area_id: int = 1
 
 
 @dataclass
@@ -121,13 +116,23 @@ class HorizontalResult:
     subtrees: list[SubtreeArrays] | None = None
 
 
-def get_range_of_symbols(state: PrepareState, config: BuildConfig) -> int:
-    """Chunk length for this round: max(B, floor(M_work/n)), at most M_work."""
-    n = state.active_count
-    if n < 1:
+def get_range_of_symbols(active_count: int, config: BuildConfig) -> int:
+    """Chunk length for a round: max(B, floor(M_work/active)), at most M_work."""
+    if active_count < 1:
         raise ValueError("no active suffixes")
     m_work = config.work_buffer_m
-    return min(m_work, max(config.block_size_b, m_work // n))
+    return min(m_work, max(config.block_size_b, m_work // active_count))
+
+
+def _window_table(text: Text, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of every ``length``-symbol window in ascending order, with the
+    0-based window starts; equal codes keep ascending starts."""
+    if length > text.n:
+        return np.empty(0, np.int64), np.empty(0, np.int32)
+    codes = window_codes(text.data, length, text.sigma + 1)
+    starts = np.argsort(codes, kind="stable")
+    codes.sort()  # in place: no second code array
+    return codes, starts.astype(np.int32 if text.n < 2**31 else np.int64)
 
 
 def locate_occurrences(
@@ -135,45 +140,92 @@ def locate_occurrences(
     vtree: VirtualTree,
     reader: BlockReader,
     timers: HorizontalTimers | None = None,
+    tables: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> dict[bytes, list[int]]:
-    """Start positions of every member prefix, in one charged scan."""
+    """Start positions of every member prefix, in one charged scan.
+
+    Each member is looked up by the code of its first Lk symbols (Lk is the
+    longest code that fits 64 bits) in a sorted window table; longer
+    prefixes are then filtered on their remaining symbols.  ``tables``
+    caches the tables by Lk across calls on the same text.
+    """
     t0 = time.perf_counter()
     reader.charge_full_scan()
-    data = text.data
+    if tables is None:
+        tables = {}
+    data = np.frombuffer(text.data, dtype=np.uint8)
+    last = text.n - 1
+    key_len = max_code_len(text.sigma)
     out: dict[bytes, list[int]] = {}
     for entry in vtree.members:
         pat = entry.prefix
-        hits: list[int] = []
-        i = data.find(pat)
-        while i != -1:
-            hits.append(i + 1)
-            i = data.find(pat, i + 1)
-        out[pat] = hits
+        lk = min(len(pat), key_len)
+        if lk not in tables:
+            tables[lk] = _window_table(text, lk)
+        codes, starts = tables[lk]
+        code = pattern_code(pat[:lk], text.sigma + 1)
+        hits = starts[np.searchsorted(codes, code, "left") : np.searchsorted(codes, code, "right")]
+        for j in range(lk, len(pat)):
+            hits = hits[data[np.minimum(hits + j, last)] == pat[j]]
+        out[pat] = (hits + 1).tolist()
     if timers is not None:
         timers.record(len(vtree.members), time.perf_counter() - t0)
     return out
 
 
-def _mismatch(a: bytes, b: bytes) -> int:
-    """Offset of the first differing symbol; caller guarantees a != b."""
-    limit = min(len(a), len(b))
-    # random chunks diverge within a handful of symbols
-    for i in range(min(limit, 16)):
-        if a[i] != b[i]:
-            return i
-    i = 16
-    step = 64
-    while i < limit:
-        if a[i : i + step] == b[i : i + step]:
-            i += step
-            continue
-        for j in range(i, min(i + step, limit)):
-            if a[j] != b[j]:
-                return j
-        break
-    # one buffer is a strict prefix of the other; cannot happen for chunks of
-    # distinct suffixes of a delimiter-terminated text
-    raise AssertionError("buffers diverge only at an explicit symbol")
+class _SuffixOrder:
+    """Suffixes starting at 0-based ``starts``, sorted on their first
+    ``known`` symbols.
+
+    ``order[k]`` is the original slot at sorted slot k.  The pair of sorted
+    slots (k, k+1) has branch depth ``depth[k]`` and diverging symbols
+    ``left[k]``/``right[k]`` once resolved; ``depth[k] == _TIED`` means the
+    two suffixes still agree on their first ``known`` symbols.
+    """
+
+    def __init__(self, data: np.ndarray, starts: np.ndarray, known: int):
+        m = len(starts)
+        self.data = data
+        self.starts = starts
+        self.known = known
+        self.order = np.arange(m)
+        self.depth = np.full(m - 1, _TIED, dtype=np.int64)
+        self.left = np.zeros(m - 1, dtype=np.uint8)
+        self.right = np.zeros(m - 1, dtype=np.uint8)
+
+    def extend(self, horizon: int) -> None:
+        """Resolve every pair whose branch depth is below ``horizon``."""
+        last = len(self.data) - 1
+        while self.known < horizon:
+            tied = self.depth == _TIED
+            if not tied.any():
+                return
+            # slots in tied runs; a run starts where the pair before it is resolved
+            in_run = np.zeros(len(self.order), dtype=bool)
+            in_run[:-1] |= tied
+            in_run[1:] |= tied
+            rows = np.flatnonzero(in_run)
+            run_start = np.ones(len(rows), dtype=bool)
+            run_start[1:] = ~tied[rows[1:] - 1]
+            run_id = np.cumsum(run_start)
+
+            width = min(_WINDOW, horizon - self.known)
+            at = self.starts[self.order[rows]] + self.known
+            win = self.data[np.minimum(at[:, None] + _COLUMNS, last)]
+            win[:, width:] = 0
+            keys = win.view(">u8")
+            perm = np.lexsort((*keys.T[::-1], run_id))
+            self.order[rows] = self.order[rows][perm]
+            win = win[perm]
+
+            diff = win[:-1] != win[1:]
+            split = ~run_start[1:] & diff.any(axis=1)
+            pair = rows[:-1][split]
+            col = diff[split].argmax(axis=1)
+            self.depth[pair] = self.known + col
+            self.left[pair] = win[:-1][split, col]
+            self.right[pair] = win[1:][split, col]
+            self.known += width
 
 
 def subtree_prepare(
@@ -185,159 +237,66 @@ def subtree_prepare(
     *,
     check_invariants: bool = False,
 ) -> SubtreeArrays:
-    """Sort the suffixes sharing ``prefix`` and emit their SA and LCP triples."""
+    """Sort the suffixes sharing ``prefix`` and emit their SA and LCP triples.
+
+    ``positions`` are the prefix's occurrences in ascending order (the
+    original slots); the replayed rounds charge their reads to ``reader``.
+    """
     if not positions:
         raise ValueError("positions must be non-empty")
     m = len(positions)
     cap_len = config.prefix_len_cap(text)
-    state = PrepareState(
-        sa=list(positions),
-        isa=list(range(m)),
-        area=[0] * m,
-        buf=[b""] * m,
-        pos_map=list(range(m)),
-        start=len(prefix),
-        range_=0,
-        active_count=m,
-    )
-    lcp: list[tuple[int, int, int] | None] = [None] * (m - 1)
-    undefined = m - 1
+    pos = np.asarray(positions, dtype=np.int64)
+    start = len(prefix)
+    suffixes = _SuffixOrder(np.frombuffer(text.data, dtype=np.uint8), pos - 1, start)
     iterations = 0
-    checker = _StateChecker(state, lcp) if check_invariants else None
-
-    sa, isa, area, buf, pos_map = state.sa, state.isa, state.area, state.buf, state.pos_map
-
-    def mark_done(k: int) -> None:
-        if area[k] == DONE:
-            return
-        area[k] = DONE
-        isa[pos_map[k]] = DONE
-        state.active_count -= 1
-
-    while undefined > 0:
-        if state.start > cap_len:
-            k = next(i for i in range(m - 1) if lcp[i] is None)
-            pos = sa[k]
-            tied = 2
-            while k + tied - 1 < m - 1 and lcp[k + tied - 1] is None:
-                tied += 1
-            shared = bytes(text.data[pos - 1 : pos - 1 + state.start])
-            raise SkewedInputError(shared, tied, PHASE_HORIZONTAL)
-
-        rng = get_range_of_symbols(state, config)
-        state.range_ = rng
+    while True:
+        # exact below this round's start; a pair still tied branches deeper
+        suffixes.extend(start)
+        depth = suffixes.depth
+        bounded = np.concatenate(([-1], depth, [-1]))
+        active = np.empty(m, dtype=bool)
+        active[suffixes.order] = np.maximum(bounded[:-1], bounded[1:]) >= start
+        count = int(np.count_nonzero(active))
+        if count == 0:
+            break
+        if start > cap_len:
+            # report the first run of suffixes still sharing ``start`` symbols
+            first = int(np.argmax(depth >= start))
+            frequency = 1 + int(np.argmin(np.append(depth[first:] >= start, False)))
+            p = int(pos[suffixes.order[first]])
+            raise SkewedInputError(text.data[p - 1 : p - 1 + start], frequency, PHASE_HORIZONTAL)
+        rng = get_range_of_symbols(count, config)
+        reader.charge_ranges(pos[active] + start, rng)
         iterations += 1
+        start += rng
 
-        # refill buffers of unfinished suffixes, in original-slot order so
-        # reads walk the text in ascending position order
-        for j in range(m):
-            k = isa[j]
-            if k == DONE:
-                continue
-            buf[k] = reader.read_range(sa[k] + state.start, rng)
-
-        # sort each active area by this round's chunk, then split runs of
-        # equal chunks into fresh areas
-        k0 = 0
-        while k0 < m:
-            aid = area[k0]
-            if aid == DONE:
-                k0 += 1
-                continue
-            k1 = k0
-            while k1 + 1 < m and area[k1 + 1] == aid:
-                k1 += 1
-            if k1 > k0:
-                order = sorted(range(k0, k1 + 1), key=buf.__getitem__)
-                if order != list(range(k0, k1 + 1)):
-                    sa[k0 : k1 + 1] = [sa[t] for t in order]
-                    buf[k0 : k1 + 1] = [buf[t] for t in order]
-                    pos_map[k0 : k1 + 1] = [pos_map[t] for t in order]
-                    for k in range(k0, k1 + 1):
-                        isa[pos_map[k]] = k
-                run = k0
-                while run <= k1:
-                    end = run
-                    while end + 1 <= k1 and buf[end + 1] == buf[run]:
-                        end += 1
-                    if end > run:
-                        new_id = state.next_area_id
-                        state.next_area_id += 1
-                        for k in range(run, end + 1):
-                            area[k] = new_id
-                    run = end + 1
-            k0 = k1 + 1
-
-        # record branches where adjacent buffers diverged this round
-        for i in range(1, m):
-            if lcp[i - 1] is not None:
-                continue
-            left, right = buf[i - 1], buf[i]
-            if left == right:
-                continue
-            cp = _mismatch(left, right)
-            lcp[i - 1] = (left[cp], right[cp], state.start + cp)
-            undefined -= 1
-            if i == 1 or lcp[i - 2] is not None:
-                mark_done(i - 1)
-            if i == m - 1 or lcp[i] is not None:
-                mark_done(i)
-
-        state.start += rng
-        if checker is not None:
-            checker.check(iterations)
-
-    return SubtreeArrays(prefix, sa, [t for t in lcp if t is not None], iterations=iterations)
+    arrays = SubtreeArrays(
+        prefix,
+        pos[suffixes.order].tolist(),
+        list(zip(suffixes.left.tolist(), suffixes.right.tolist(), suffixes.depth.tolist())),
+        iterations=iterations,
+    )
+    if check_invariants:
+        _check_arrays(text, arrays, positions)
+    return arrays
 
 
-class _StateChecker:
-    """Mid-run assertions enabled by the --check-invariants flag."""
-
-    def __init__(self, state: PrepareState, lcp):
-        self.state = state
-        self.lcp = lcp
-        self.done_positions: dict[int, int] = {}
-        self.prev_area: list[int] | None = None
-        self.prev_next_id = state.next_area_id
-        self.base_start = state.start
-        self.range_sum = 0
-
-    def check(self, iteration: int) -> None:
-        st = self.state
-        m = len(st.sa)
-        self.range_sum += st.range_
-        assert st.start == self.base_start + self.range_sum, "start drifted from range sum"
-        live = 0
-        for k in range(m):
-            if st.area[k] == DONE:
-                if k not in self.done_positions:
-                    self.done_positions[k] = st.sa[k]
-            else:
-                live += 1
-                assert st.isa[st.pos_map[k]] == k, f"isa/pos_map broken at slot {k}"
-        assert live == st.active_count, "active_count out of sync"
-        for k, pos in self.done_positions.items():
-            assert st.sa[k] == pos, f"done slot {k} moved"
-        seen: set[int] = set()
-        k = 0
-        while k < m:
-            aid = st.area[k]
-            if aid == DONE:
-                k += 1
-                continue
-            assert aid not in seen, f"area {aid} not contiguous"
-            seen.add(aid)
-            end = k
-            while end + 1 < m and st.area[end + 1] == aid:
-                end += 1
-            for t in range(k, end + 1):
-                assert st.buf[t] == st.buf[k], "unequal buffers share an area"
-            if self.prev_area is not None and aid >= self.prev_next_id:
-                parents = {self.prev_area[t] for t in range(k, end + 1)}
-                assert len(parents) == 1, "area split straddles old areas"
-            k = end + 1
-        self.prev_area = list(st.area)
-        self.prev_next_id = st.next_area_id
+def _check_arrays(text: Text, arrays: SubtreeArrays, positions: list[int]) -> None:
+    """--check-invariants: ``sa`` permutes the positions, and every adjacent
+    pair agrees up to its recorded depth and then has its recorded, strictly
+    ordered symbols."""
+    data = text.data
+    if sorted(arrays.sa) != sorted(positions):
+        raise AssertionError("sa is not a permutation of the occurrence positions")
+    if len(arrays.lcp) != len(arrays.sa) - 1:
+        raise AssertionError("one LCP triple per adjacent pair expected")
+    for k, (left, right, depth) in enumerate(arrays.lcp):
+        a, b = arrays.sa[k] - 1, arrays.sa[k + 1] - 1
+        if data[a : a + depth] != data[b : b + depth]:
+            raise AssertionError(f"slots {k},{k + 1} differ above depth {depth}")
+        if (data[a + depth], data[b + depth]) != (left, right) or left >= right:
+            raise AssertionError(f"slots {k},{k + 1}: bad branch symbols at depth {depth}")
 
 
 def _prepare_worker_stats(worker_id: int) -> WorkerStats:
@@ -365,10 +324,11 @@ def _process_vtrees(
 
     stats = _prepare_worker_stats(worker_id)
     reader = BlockReader(text, config.block_size_b, stats.io)
+    tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     rows: list[tuple[int, int, SubtreeRecord]] = []
     arrays_out: list[tuple[int, int, SubtreeArrays]] | None = None if out_dir else []
     for vt_index, vtree in assigned:
-        occurrences = locate_occurrences(text, vtree, reader, stats.timers)
+        occurrences = locate_occurrences(text, vtree, reader, stats.timers, tables)
         for member_index, entry in enumerate(vtree.members):
             positions = occurrences[entry.prefix]
             if not positions:

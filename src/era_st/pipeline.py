@@ -29,7 +29,13 @@ from .blockio import (
     charge_write,
     stats_csv,
 )
-from .errors import IndexCorruptError, SkewedInputError
+from .errors import (
+    AlphabetError,
+    DelimiterError,
+    IndexCorruptError,
+    InputError,
+    SkewedInputError,
+)
 from .horizontal import HorizontalResult, run_horizontal
 from .manifest import MANIFEST_VERSION, Manifest, read_manifest
 from .oracle import naive_search, naive_suffix_array
@@ -181,13 +187,24 @@ def _absorb_horizontal(result: BuildResult, horizontal: HorizontalResult) -> Non
 
 
 def open_index(index_dir: str | Path) -> SuffixIndex:
+    """Open an index directory for queries.
+
+    Raises IndexCorruptError for a missing or malformed part, including a
+    ``text.bin`` that is not a valid text or not the one the manifest's
+    ``text_digest`` records.
+    """
     root = Path(index_dir)
     manifest = read_manifest(root)
     text_path = root / TEXT_NAME
     if not text_path.exists():
         raise IndexCorruptError(f"{text_path}: missing text payload")
     data = text_path.read_bytes()
-    text = Text(data, manifest.sigma, byte_map=_copy_map(manifest.alphabet_map))
+    try:
+        text = Text(data, manifest.sigma, byte_map=_copy_map(manifest.alphabet_map))
+    except (AlphabetError, DelimiterError, InputError) as exc:
+        raise IndexCorruptError(f"{text_path}: {exc}") from exc
+    if text_digest(text) != manifest.text_digest:
+        raise IndexCorruptError(f"{text_path}: digest differs from the manifest's text_digest")
     trie_path = root / TRIE_NAME
     if not trie_path.exists():
         raise IndexCorruptError(f"{trie_path}: missing trie")

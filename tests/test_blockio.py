@@ -74,6 +74,13 @@ class TestReadRange:
         r.read_range(9, 1)  # block 2
         assert r.stats.blocks_read == 3
 
+    @pytest.mark.parametrize("starts", [[0, 3], [3, 21], [-1]])
+    def test_batch_start_out_of_bounds(self, starts):
+        r = reader_for(generate_random_text(20, 2, 0), 4)
+        with pytest.raises(RangeError):
+            r.charge_ranges(starts, 2)
+        assert (r.stats.blocks_read, r.stats.range_reads) == (0, 0)
+
     def test_scan_invariant_lower_bound(self):
         text = generate_random_text(50, 2, 0)
         r = reader_for(text, 8)
@@ -117,6 +124,8 @@ class TraceOracle:
         st.one_of(
             st.none(),
             st.tuples(st.integers(1, 120), st.integers(1, 40)),
+            # a batch: charge_ranges over ascending starts
+            st.tuples(st.lists(st.integers(1, 120), max_size=12).map(sorted), st.integers(1, 40)),
         ),
         max_size=30,
     ),
@@ -125,17 +134,26 @@ def test_counter_exactness_against_replay(n, block, ops):
     text = generate_random_text(n, 2, 0)
     r = reader_for(text, block)
     oracle = TraceOracle(n, block)
+    reads = 0
     for op in ops:
         if op is None:
             r.charge_full_scan()
             oracle.scan()
+        elif isinstance(op[0], list):
+            starts = [s for s in op[0] if s <= n]
+            r.charge_ranges(starts, op[1])
+            for start in starts:
+                oracle.read(start, op[1])
+            reads += len(starts)
         else:
             start, length = op
             if start > n:
                 continue
             r.read_range(start, length)
             oracle.read(start, length)
+            reads += 1
     assert r.stats.blocks_read == oracle.misses
+    assert r.stats.range_reads == reads
 
 
 class TestStatsPlumbing:

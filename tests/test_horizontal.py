@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from era_st import horizontal
 from era_st.blockio import PHASE_HORIZONTAL, BlockReader, IoStats
 from era_st.errors import BuildError, SkewedInputError
 from era_st.horizontal import (
     HorizontalTimers,
-    PrepareState,
+    SubtreeArrays,
     get_range_of_symbols,
     locate_occurrences,
     run_horizontal,
@@ -34,25 +35,19 @@ def sym(text, s):
     return bytes(text.byte_map[ord(c)] for c in s)
 
 
-def state_with(active):
-    return PrepareState(
-        sa=[], isa=[], area=[], buf=[], pos_map=[], start=0, range_=0, active_count=active
-    )
-
-
 class TestGetRange:
     def test_floor_within_clamp(self):
-        assert get_range_of_symbols(state_with(4), cfg(64, 4)) == 8
+        assert get_range_of_symbols(4, cfg(64, 4)) == 8
 
     def test_lower_clamp_at_block_size(self):
-        assert get_range_of_symbols(state_with(32), cfg(64, 4)) == 4
+        assert get_range_of_symbols(32, cfg(64, 4)) == 4
 
     def test_upper_clamp_at_half_budget(self):
-        assert get_range_of_symbols(state_with(1), cfg(64, 4)) == 32
+        assert get_range_of_symbols(1, cfg(64, 4)) == 32
 
     def test_requires_active_suffixes(self):
         with pytest.raises(ValueError):
-            get_range_of_symbols(state_with(0), cfg(64, 4))
+            get_range_of_symbols(0, cfg(64, 4))
 
 
 class TestLocate:
@@ -81,6 +76,21 @@ class TestLocate:
         locate_occurrences(t, vt, r)
         assert r.stats.full_scans == 2
         assert r.stats.blocks_read == 16
+
+    @pytest.mark.parametrize("length", [1, 9, 10, 11, 14])
+    def test_long_prefixes_filtered_past_the_code_length(self, length):
+        # sigma=64 codes hold 10 symbols; longer prefixes are filtered on the rest
+        t = generate_random_text(3000, 64, 4)
+        prefixes = {t.data[i : i + length] for i in (0, 7, 1500, t.n - length - 1)}
+        prefixes.add(t.data[5 : 5 + length - 1] + bytes([t.data[5 + length - 1] % 64 + 1]))
+        # runs past the text end for length > 2
+        prefixes.add((t.data[t.n - 3 : t.n - 1] + b"\x01" * length)[:length])
+        vt = VirtualTree([PrefixEntry(p, 1) for p in sorted(prefixes)])
+        tables = {}
+        for _ in range(2):  # the second pass reuses the cached tables
+            got = locate_occurrences(t, vt, reader(t), tables=tables)
+            assert got == {p: substring_positions(t.data, p) for p in prefixes}
+        assert sorted(tables) == [min(length, 10)]
 
     def test_timer_attribution_by_tree_size(self):
         t = from_str("banana$")
@@ -177,6 +187,27 @@ class TestSubtreePrepare:
         assert exc.value.phase == "horizontal"
         assert len(exc.value.prefix) > 16
         assert exc.value.frequency >= 2
+        # the payload of the round-by-round preparation loop
+        assert (exc.value.prefix.hex(), exc.value.frequency) == (
+            "0401010101010201020402040401030101",
+            2,
+        )
+
+    def test_invariant_check_rejects_wrong_arrays(self):
+        t = from_str("mississippi$")
+        i, p, s = (t.byte_map[ord(c)] for c in "ips")
+        good = SubtreeArrays(sym(t, "i"), [11, 8, 5, 2], [(0, p, 1), (p, s, 1), (p, s, 4)])
+        horizontal._check_arrays(t, good, [2, 5, 8, 11])
+        bad = [
+            SubtreeArrays(good.prefix, [11, 8, 5, 5], good.lcp),
+            SubtreeArrays(good.prefix, good.sa, good.lcp[:2]),
+            SubtreeArrays(good.prefix, good.sa, [(0, p, 1), (p, s, 1), (p, s, 3)]),
+            SubtreeArrays(good.prefix, good.sa, [(0, p, 1), (p, s, 1), (p, i, 4)]),
+            SubtreeArrays(good.prefix, [8, 11, 5, 2], [(p, 0, 1), (p, s, 1), (p, s, 4)]),
+        ]
+        for arrays in bad:
+            with pytest.raises(AssertionError):
+                horizontal._check_arrays(t, arrays, [2, 5, 8, 11])
 
 
 class TestRunHorizontal:
@@ -273,3 +304,44 @@ class TestRunHorizontal:
         vtrees = pack_virtual_trees(part.entries, config)
         with pytest.raises(SkewedInputError):
             run_horizontal(doubled, vtrees, config)
+
+
+class TestPinnedCounters:
+    """stats.csv and per-subtree round counts of the round-by-round
+    preparation loop, on a small build whose subtrees take up to two rounds."""
+
+    STATS = {
+        1: (
+            "phase,worker,blocks_read,blocks_written,full_scans,range_reads\n"
+            "vertical,0,5120,2978,5,0\n"
+            "horizontal,0,274975,0,260,4228\n"
+            "serialize,0,0,35496,0,0\n"
+        ),
+        2: (
+            "phase,worker,blocks_read,blocks_written,full_scans,range_reads\n"
+            "vertical,0,5120,2978,5,0\n"
+            "horizontal,0,137513,0,130,2120\n"
+            "serialize,0,0,17739,0,0\n"
+            "horizontal,1,137462,0,130,2108\n"
+            "serialize,1,0,17757,0,0\n"
+        ),
+    }
+    ITERATIONS = (
+        "1122111111112121122211112222221120101010102010102021112222112221121111"
+        "2111111111111111211111212121111111212121111111112111112111111111111111"
+        "1111211111212121111121111111112111211121211111111111112111211121111111"
+        "2121111111211111112121211111111111112111112111111111111111111111111211"
+        "1111111111111111121111121111111111111211111111111111111111111211111111"
+        "1111111111111111111111111111111111111111111111111111111111111111111111"
+        "1121111111111111111111111111111111111111111111111111111111111111111111"
+        "1111111111111111111111111111111111111111111111111111111111111111111111"
+    )
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_stats_and_iterations_pinned(self, tmp_path, p):
+        from era_st.pipeline import build_index
+
+        text = generate_random_text(4096, 4, 1)
+        result = build_index(text, cfg(64, 4, workers_p=p), tmp_path)
+        assert (tmp_path / "stats.csv").read_text() == self.STATS[p]
+        assert "".join(str(r.iterations) for r in result.records) == self.ITERATIONS

@@ -265,6 +265,36 @@ def patch_u64(path, field: int, node: int, value: int) -> None:
     path.write_bytes(bytes(blob))
 
 
+class TestCorruptTextPayload:
+    def build(self, tmp_path):
+        t = from_str("mississippi$")
+        d = tmp_path / "idx"
+        build_index(t, cfg(8, 1), d)
+        return t, d, bytearray((d / "text.bin").read_bytes())
+
+    def test_altered_text_rejected(self, tmp_path, capsys):
+        t, d, data = self.build(tmp_path)
+        data[4], data[8] = data[8], data[4]  # "missps..." -> both symbols stay in the alphabet
+        (d / "text.bin").write_bytes(bytes(data))
+        assert main(["query", str(d), "locate", "ssi"]) == 1
+        assert "text_digest" in capsys.readouterr().err
+        with pytest.raises(IndexCorruptError):
+            open_index(d)
+        assert verify_index(d, t).exit_code == 1
+        assert verify_index(d, from_str("mississippis$")).exit_code == 4
+
+    def test_out_of_alphabet_symbol_rejected(self, tmp_path):
+        t, d, data = self.build(tmp_path)
+        at = data.index(t.byte_map[ord("s")])
+        data[at] ^= 3
+        assert data[at] > t.sigma
+        (d / "text.bin").write_bytes(bytes(data))
+        with pytest.raises(IndexCorruptError, match="outside alphabet"):
+            open_index(d)
+        outcome = verify_index(d, t)
+        assert (outcome.ok, outcome.exit_code) == (False, 1)
+
+
 class TestCorruptSubtreeFile:
     def built(self, tmp_path):
         t = from_str("mississippi$")

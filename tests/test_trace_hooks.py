@@ -28,6 +28,8 @@ def test_spans_recorded_through_public_hooks(tmp_path):
         assert pipeline.verify_index(tmp_path, text, probe_count=20).ok
     recorded = {name for _, name in tracer.calls}
     for name in (
+        "horizontal.locate",
+        "horizontal.prepare",
         "tree.build_subtree",
         "tree.serialize",
         "tree.load",
