@@ -118,8 +118,9 @@ class BlockReader:
         self.stats.blocks_read += nblocks
         self._resident = nblocks - 1
 
-    def charge_ranges(self, starts, length: int) -> None:
-        """Account one read of up to ``length`` symbols at each 1-based start.
+    def charge_ranges(self, starts, lengths) -> None:
+        """Account one read at each 1-based start, of up to ``lengths``
+        symbols: one length for every read, or one per read.
 
         The reads are charged in the given order, exactly as a sequence of
         ``read_range`` calls: a read spanning blocks b0..b1 costs b1-b0+1
@@ -133,11 +134,12 @@ class BlockReader:
         if starts.min() < 1 or starts.max() > n:
             bad = starts[(starts < 1) | (starts > n)][0]
             raise RangeError(f"range start {bad} outside 1..{n}")
-        if length < 1:
-            raise RangeError(f"range length {length} must be >= 1")
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.min() < 1:
+            raise RangeError(f"range length {lengths.min()} must be >= 1")
         block = self.block_size
         b0 = (starts - 1) // block
-        b1 = (np.minimum(starts + (length - 1), n) - 1) // block
+        b1 = (np.minimum(starts + (lengths - 1), n) - 1) // block
         reused = np.count_nonzero(b0[1:] == b1[:-1]) + (b0[0] == self._resident)
         stats = self.stats
         stats.blocks_read += int((b1 - b0).sum()) + len(starts) - int(reused)

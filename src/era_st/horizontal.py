@@ -10,24 +10,29 @@ suffixes, and records an LCP triple (left symbol, right symbol, absolute
 depth) wherever neighbours diverge.  A suffix retires once both of its
 branches are recorded.
 
-Here the order and the triples are computed directly over a numpy view of
-the text: the suffixes are sorted by W-symbol windows, and only runs that are
-still tied are extended by the next W symbols (past the text end the windows
-hold the delimiter 0, which is unique and smallest).  The rounds become a cost
-model replayed over the branch depths: the round starting at depth ``start``
-records every branch whose depth lies in [start, start + range), so the
-suffixes it reads are those with a neighbour branch at depth >= start.  Their
-reads are charged in original-slot order by ``BlockReader.charge_ranges``
-with the unchanged one-resident-block rule, so the counters and round counts
-are the loop's, bit for bit.  The ordering is extended only up to the start of
-the round being replayed, so it never looks further into a suffix than the
-rounds read.
+Here a virtual tree is one array pass.  The occurrences of all its member
+prefixes are laid end to end, and the order and the triples are computed
+directly over a numpy view of the text: each member's suffixes are sorted by
+W-symbol windows, and only runs that are still tied are extended by the next
+W symbols (past the text end the windows hold the delimiter 0, which is
+unique and smallest); a pair of slots from two members is never tied.  The
+rounds become a cost model replayed over the branch depths, for all members
+in lockstep, each with its own round start, range and round count: the round
+starting at depth ``start`` records every branch whose depth lies in [start,
+start + range), so the suffixes it reads are those with a neighbour branch
+at depth >= start.  A member's ordering is extended only up to the start of
+its round being replayed, so it never looks further into a suffix than the
+rounds read.  The reads are then charged member by member, round by round,
+in original-slot order, by one ``BlockReader.charge_ranges`` call with the
+unchanged one-resident-block rule, so the counters and round counts are
+those of preparing the members one after the other, bit for bit.
 
 Ties can only break, never re-form, and the unique terminal delimiter breaks
 every tie eventually, so the rounds end -- unless the text repeats a
 substring longer than the configured guard: a round that would start past the
 guard raises SkewedInputError instead of grinding through a near-quadratic
-build.
+build.  The members before the first one to skew are prepared and charged in
+full, and the members after it not at all.
 
 Virtual trees are processed by p workers with a fixed round-robin
 assignment; every worker owns its reader and counters, so identical inputs
@@ -39,7 +44,7 @@ from __future__ import annotations
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,21 +62,35 @@ _COLUMNS = np.arange(_WINDOW)
 _TIED = np.iinfo(np.int64).max
 
 
-@dataclass
+@dataclass(eq=False)
 class SubtreeArrays:
     """Relative suffix array plus LCP triples for one prefix.
 
-    ``sa`` lists the occurrence positions of the prefix in lexicographic
-    order of their suffixes.  ``lcp[i-1]`` describes the branch between the
-    suffixes at slots i-1 and i: the two diverging symbols and the absolute
-    depth (from the suffix start, so always >= len(prefix)) at which they
-    appear.
+    ``sa`` (int64[m]) lists the occurrence positions of the prefix in
+    lexicographic order of their suffixes.  Row ``lcp[i-1]`` (int64[m-1, 3])
+    describes the branch between the suffixes at slots i-1 and i: the two
+    diverging symbols and the absolute depth (from the suffix start, so
+    always >= len(prefix)) at which they appear.
     """
 
     prefix: bytes
-    sa: list[int]
-    lcp: list[tuple[int, int, int]]
-    iterations: int = field(default=0, compare=False)
+    sa: np.ndarray
+    lcp: np.ndarray
+    iterations: int = 0
+
+    def __post_init__(self):
+        self.sa = np.asarray(self.sa, dtype=np.int64)
+        self.lcp = np.asarray(self.lcp, dtype=np.int64).reshape(-1, 3)
+
+    def __eq__(self, other: object) -> bool:
+        """Equal prefix, ``sa`` and ``lcp``; ``iterations`` is instrumentation."""
+        if not isinstance(other, SubtreeArrays):
+            return NotImplemented
+        return (
+            self.prefix == other.prefix
+            and np.array_equal(self.sa, other.sa)
+            and np.array_equal(self.lcp, other.lcp)
+        )
 
 
 @dataclass
@@ -116,12 +135,16 @@ class HorizontalResult:
     subtrees: list[SubtreeArrays] | None = None
 
 
-def get_range_of_symbols(active_count: int, config: BuildConfig) -> int:
-    """Chunk length for a round: max(B, floor(M_work/active)), at most M_work."""
-    if active_count < 1:
+def get_range_of_symbols(active_count, config: BuildConfig):
+    """Chunk length for a round: max(B, floor(M_work/active)), at most M_work.
+
+    ``active_count`` is one count or an array of counts, one per member.
+    """
+    active_count = np.asarray(active_count)
+    if (active_count < 1).any():
         raise ValueError("no active suffixes")
     m_work = config.work_buffer_m
-    return min(m_work, max(config.block_size_b, m_work // active_count))
+    return np.minimum(m_work, np.maximum(config.block_size_b, m_work // active_count))
 
 
 def _window_table(text: Text, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -141,8 +164,9 @@ def locate_occurrences(
     reader: BlockReader,
     timers: HorizontalTimers | None = None,
     tables: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
-) -> dict[bytes, list[int]]:
-    """Start positions of every member prefix, in one charged scan.
+) -> dict[bytes, np.ndarray]:
+    """Start positions (1-based, ascending, int64) of every member prefix, in
+    one charged scan.
 
     Each member is looked up by the code of its first Lk symbols (Lk is the
     longest code that fits 64 bits) in a sorted window table; longer
@@ -156,7 +180,7 @@ def locate_occurrences(
     data = np.frombuffer(text.data, dtype=np.uint8)
     last = text.n - 1
     key_len = max_code_len(text.sigma)
-    out: dict[bytes, list[int]] = {}
+    out: dict[bytes, np.ndarray] = {}
     for entry in vtree.members:
         pat = entry.prefix
         lk = min(len(pat), key_len)
@@ -167,52 +191,61 @@ def locate_occurrences(
         hits = starts[np.searchsorted(codes, code, "left") : np.searchsorted(codes, code, "right")]
         for j in range(lk, len(pat)):
             hits = hits[data[np.minimum(hits + j, last)] == pat[j]]
-        out[pat] = (hits + 1).tolist()
+        out[pat] = hits.astype(np.int64) + 1
     if timers is not None:
         timers.record(len(vtree.members), time.perf_counter() - t0)
     return out
 
 
 class _SuffixOrder:
-    """Suffixes starting at 0-based ``starts``, sorted on their first
-    ``known`` symbols.
+    """The suffixes of the members of one virtual tree, those of member j
+    sorted on their first ``known[j]`` symbols.
 
-    ``order[k]`` is the original slot at sorted slot k.  The pair of sorted
-    slots (k, k+1) has branch depth ``depth[k]`` and diverging symbols
-    ``left[k]``/``right[k]`` once resolved; ``depth[k] == _TIED`` means the
-    two suffixes still agree on their first ``known`` symbols.
+    Slots are concatenated member by member and a member's sorted slots keep
+    its range of original slots; ``order[k]`` is the original slot at sorted
+    slot k and ``member[k]`` the member owning slot k.  Pair k (0 < k <
+    total) lies between sorted slots k-1 and k: ``depth[k]`` is its branch
+    depth and ``left[k]``/``right[k]`` its diverging symbols once resolved,
+    and ``depth[k] == _TIED`` means the two suffixes still agree on their
+    first ``known`` symbols.  Entries 0 and ``total`` and the pairs between
+    two members hold -1, so they are never tied.
     """
 
-    def __init__(self, data: np.ndarray, starts: np.ndarray, known: int):
-        m = len(starts)
-        self.data = data
+    def __init__(self, text: Text, starts: np.ndarray, bounds: np.ndarray, known: np.ndarray):
+        total = len(starts)
+        # row i: the W symbols from 0-based position i, 0 past the text end
+        padded = np.frombuffer(text.data + bytes(_WINDOW - 1), dtype=np.uint8)
+        self.windows = np.lib.stride_tricks.sliding_window_view(padded, _WINDOW)
         self.starts = starts
+        self.member = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
         self.known = known
-        self.order = np.arange(m)
-        self.depth = np.full(m - 1, _TIED, dtype=np.int64)
-        self.left = np.zeros(m - 1, dtype=np.uint8)
-        self.right = np.zeros(m - 1, dtype=np.uint8)
+        self.order = np.arange(total)
+        self.depth = np.full(total + 1, _TIED, dtype=np.int64)
+        self.depth[bounds] = -1
+        self.left = np.zeros(total + 1, dtype=np.uint8)
+        self.right = np.zeros(total + 1, dtype=np.uint8)
 
-    def extend(self, horizon: int) -> None:
-        """Resolve every pair whose branch depth is below ``horizon``."""
-        last = len(self.data) - 1
-        while self.known < horizon:
+    def extend(self, horizon: np.ndarray, members: np.ndarray) -> None:
+        """For each member j with ``members[j]`` set, resolve every pair whose
+        branch depth is below ``horizon[j]``."""
+        while True:
+            want = members & (self.known < horizon)
             tied = self.depth == _TIED
+            tied[1:-1] &= want[self.member[1:]]
             if not tied.any():
                 return
-            # slots in tied runs; a run starts where the pair before it is resolved
-            in_run = np.zeros(len(self.order), dtype=bool)
-            in_run[:-1] |= tied
-            in_run[1:] |= tied
-            rows = np.flatnonzero(in_run)
-            run_start = np.ones(len(rows), dtype=bool)
-            run_start[1:] = ~tied[rows[1:] - 1]
+            # slots in tied runs; a run starts where the pair before it is not tied
+            rows = np.flatnonzero(tied[:-1] | tied[1:])
+            run_start = ~tied[rows]
             run_id = np.cumsum(run_start)
 
-            width = min(_WINDOW, horizon - self.known)
-            at = self.starts[self.order[rows]] + self.known
-            win = self.data[np.minimum(at[:, None] + _COLUMNS, last)]
-            win[:, width:] = 0
+            owner = self.member[rows]
+            known = self.known[owner]
+            # a tied suffix is longer than ``known``, so every row exists
+            win = self.windows[self.starts[self.order[rows]] + known]
+            width = np.minimum(_WINDOW, horizon - self.known)[owner]
+            if width.min() < _WINDOW:
+                win[_COLUMNS >= width[:, None]] = 0
             keys = win.view(">u8")
             perm = np.lexsort((*keys.T[::-1], run_id))
             self.order[rows] = self.order[rows][perm]
@@ -220,79 +253,120 @@ class _SuffixOrder:
 
             diff = win[:-1] != win[1:]
             split = ~run_start[1:] & diff.any(axis=1)
-            pair = rows[:-1][split]
+            pair = rows[1:][split]
             col = diff[split].argmax(axis=1)
-            self.depth[pair] = self.known + col
+            self.depth[pair] = known[1:][split] + col
             self.left[pair] = win[:-1][split, col]
             self.right[pair] = win[1:][split, col]
-            self.known += width
+            self.known[want] = np.minimum(self.known + _WINDOW, horizon)[want]
+
+    def skew_error(self, text: Text, pos: np.ndarray, lo: int, hi: int, start: int) -> SkewedInputError:
+        """The error for the member at slots [lo, hi): the first run of its
+        suffixes still sharing ``start`` symbols."""
+        deep = self.depth[lo + 1 : hi] >= start
+        first = int(np.argmax(deep))
+        frequency = 1 + int(np.argmin(np.append(deep[first:], False)))
+        p = int(pos[self.order[lo + first]])
+        return SkewedInputError(text.data[p - 1 : p - 1 + start], frequency, PHASE_HORIZONTAL)
 
 
 def subtree_prepare(
     text: Text,
-    prefix: bytes,
-    positions: list[int],
+    prefixes: list[bytes],
+    positions: list[np.ndarray],
     config: BuildConfig,
     reader: BlockReader,
     *,
     check_invariants: bool = False,
-) -> SubtreeArrays:
-    """Sort the suffixes sharing ``prefix`` and emit their SA and LCP triples.
+) -> list[SubtreeArrays]:
+    """Sort the suffixes sharing each member prefix of one virtual tree and
+    emit one SA with LCP triples per member, in member order.
 
-    ``positions`` are the prefix's occurrences in ascending order (the
-    original slots); the replayed rounds charge their reads to ``reader``.
+    ``positions[j]`` are the occurrences of ``prefixes[j]`` in ascending
+    order (the member's original slots).  All members are ordered and their
+    rounds replayed together, each with its own round start, range and
+    round count; the reads are then charged to ``reader`` member by member,
+    round by round, in original-slot order, exactly as one member after the
+    other would read them.  A member that skews stops the members after it;
+    the ones before it run to completion and are charged, and the first
+    skewing member's SkewedInputError is raised.
     """
-    if not positions:
-        raise ValueError("positions must be non-empty")
-    m = len(positions)
+    k = len(prefixes)
+    if k == 0:
+        return []
+    sizes = np.array([len(p) for p in positions], dtype=np.int64)
+    if not sizes.all():
+        raise ValueError("every member needs occurrence positions")
     cap_len = config.prefix_len_cap(text)
-    pos = np.asarray(positions, dtype=np.int64)
-    start = len(prefix)
-    suffixes = _SuffixOrder(np.frombuffer(text.data, dtype=np.uint8), pos - 1, start)
-    iterations = 0
-    while True:
-        # exact below this round's start; a pair still tied branches deeper
-        suffixes.extend(start)
+    pos = np.concatenate([np.asarray(p, dtype=np.int64) for p in positions])
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    start = np.array([len(p) for p in prefixes], dtype=np.int64)
+    suffixes = _SuffixOrder(text, pos - 1, bounds, start.copy())
+    member = suffixes.member
+    iterations = np.zeros(k, dtype=np.int64)
+    running = np.ones(k, dtype=bool)
+    skewed: tuple[int, SkewedInputError] | None = None
+    reads: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (member, start, length) per round
+    while running.any():
+        # exact below each member's round start; a pair still tied branches deeper
+        suffixes.extend(start, running)
         depth = suffixes.depth
-        bounded = np.concatenate(([-1], depth, [-1]))
-        active = np.empty(m, dtype=bool)
-        active[suffixes.order] = np.maximum(bounded[:-1], bounded[1:]) >= start
-        count = int(np.count_nonzero(active))
-        if count == 0:
+        active = np.empty(len(pos), dtype=bool)
+        active[suffixes.order] = np.maximum(depth[:-1], depth[1:]) >= start[member]
+        active &= running[member]
+        counts = np.bincount(member[active], minlength=k)
+        running &= counts > 0
+        skewing = np.flatnonzero(running & (start > cap_len))
+        if len(skewing):
+            # members after the first skewing one are never read
+            j = int(skewing[0])
+            skewed = (j, suffixes.skew_error(text, pos, bounds[j], bounds[j + 1], int(start[j])))
+            running[j:] = False
+        if not running.any():
             break
-        if start > cap_len:
-            # report the first run of suffixes still sharing ``start`` symbols
-            first = int(np.argmax(depth >= start))
-            frequency = 1 + int(np.argmin(np.append(depth[first:] >= start, False)))
-            p = int(pos[suffixes.order[first]])
-            raise SkewedInputError(text.data[p - 1 : p - 1 + start], frequency, PHASE_HORIZONTAL)
-        rng = get_range_of_symbols(count, config)
-        reader.charge_ranges(pos[active] + start, rng)
-        iterations += 1
+        active &= running[member]
+        rng = np.zeros(k, dtype=np.int64)
+        rng[running] = get_range_of_symbols(counts[running], config)
+        slots = np.flatnonzero(active)
+        owner = member[slots]
+        reads.append((owner, pos[slots] + start[owner], rng[owner]))
+        iterations[running] += 1
         start += rng
 
-    arrays = SubtreeArrays(
-        prefix,
-        pos[suffixes.order].tolist(),
-        list(zip(suffixes.left.tolist(), suffixes.right.tolist(), suffixes.depth.tolist())),
-        iterations=iterations,
-    )
-    if check_invariants:
-        _check_arrays(text, arrays, positions)
-    return arrays
+    if reads:
+        owner, starts, lengths = (np.concatenate(col) for col in zip(*reads))
+        keep = owner <= (skewed[0] if skewed else k)
+        # member-major; the stable sort keeps each member's rounds and slots in order
+        by_member = np.argsort(owner[keep], kind="stable")
+        reader.charge_ranges(starts[keep][by_member], lengths[keep][by_member])
+    if skewed is not None:
+        raise skewed[1]
+
+    lcp = np.column_stack((suffixes.left, suffixes.right, suffixes.depth))
+    out = []
+    for j, prefix in enumerate(prefixes):
+        lo, hi = bounds[j], bounds[j + 1]
+        arrays = SubtreeArrays(
+            prefix, pos[suffixes.order[lo:hi]], lcp[lo + 1 : hi], iterations=int(iterations[j])
+        )
+        if check_invariants:
+            _check_arrays(text, arrays, positions[j])
+        out.append(arrays)
+    return out
 
 
-def _check_arrays(text: Text, arrays: SubtreeArrays, positions: list[int]) -> None:
+def _check_arrays(text: Text, arrays: SubtreeArrays, positions) -> None:
     """--check-invariants: ``sa`` permutes the positions, and every adjacent
     pair agrees up to its recorded depth and then has its recorded, strictly
     ordered symbols."""
     data = text.data
-    if sorted(arrays.sa) != sorted(positions):
+    sa = arrays.sa.tolist()
+    if sorted(sa) != sorted(np.asarray(positions).tolist()):
         raise AssertionError("sa is not a permutation of the occurrence positions")
-    if len(arrays.lcp) != len(arrays.sa) - 1:
+    if len(arrays.lcp) != len(sa) - 1:
         raise AssertionError("one LCP triple per adjacent pair expected")
-    for k, (left, right, depth) in enumerate(arrays.lcp):
-        a, b = arrays.sa[k] - 1, arrays.sa[k + 1] - 1
+    for k, (left, right, depth) in enumerate(arrays.lcp.tolist()):
+        a, b = sa[k] - 1, sa[k + 1] - 1
         if data[a : a + depth] != data[b : b + depth]:
             raise AssertionError(f"slots {k},{k + 1} differ above depth {depth}")
         if (data[a + depth], data[b + depth]) != (left, right) or left >= right:
@@ -329,41 +403,43 @@ def _process_vtrees(
     arrays_out: list[tuple[int, int, SubtreeArrays]] | None = None if out_dir else []
     for vt_index, vtree in assigned:
         occurrences = locate_occurrences(text, vtree, reader, stats.timers, tables)
-        for member_index, entry in enumerate(vtree.members):
-            positions = occurrences[entry.prefix]
-            if not positions:
-                continue
-            current = entry.prefix
-            try:
-                arrays = subtree_prepare(
-                    text, current, positions, config, reader,
-                    check_invariants=check_invariants,
-                )
-                max_depth = max((t[2] for t in arrays.lcp), default=0)
-                record = SubtreeRecord(
-                    prefix=current,
-                    occurrences=len(positions),
+        present = [i for i, e in enumerate(vtree.members) if len(occurrences[e.prefix])]
+        if not present:
+            continue
+        prefixes = [vtree.members[i].prefix for i in present]
+        current = prefixes[0]
+        try:
+            batch = subtree_prepare(
+                text, prefixes, [occurrences[p] for p in prefixes], config, reader,
+                check_invariants=check_invariants,
+            )
+            records = [
+                SubtreeRecord(
+                    prefix=arrays.prefix,
+                    occurrences=len(arrays.sa),
                     iterations=arrays.iterations,
-                    max_lcp_depth=max_depth,
+                    max_lcp_depth=int(arrays.lcp[:, 2].max(initial=0)),
                 )
-                if out_dir is not None:
-                    tree = build_subtree(arrays, text)
+                for arrays in batch
+            ]
+            if out_dir is None:
+                arrays_out.extend(zip([vt_index] * len(batch), present, batch))
+            else:
+                for record, tree in zip(records, build_subtree(batch, text)):
+                    current = record.prefix
                     record.file_name = subtree_file_name(current)
                     record.node_count = len(tree.pos)
-                    path = Path(out_dir) / record.file_name
-                    with open(path, "wb") as sink:
+                    with open(Path(out_dir) / record.file_name, "wb") as sink:
                         record.bytes_written = serialize_subtree(
                             tree, sink, stats=stats.serialize_io,
                             block_size=config.block_size_b,
                         )
-                else:
-                    arrays_out.append((vt_index, member_index, arrays))
-            except SkewedInputError as exc:
-                return rows, stats, (vt_index, exc), arrays_out
-            except Exception as exc:  # noqa: BLE001 - reported as BuildError
-                detail = f"{exc}\n{traceback.format_exc()}"
-                return rows, stats, (vt_index, BuildError(current, detail)), arrays_out
-            rows.append((vt_index, member_index, record))
+        except SkewedInputError as exc:
+            return rows, stats, (vt_index, exc), arrays_out
+        except Exception as exc:  # noqa: BLE001 - reported as BuildError
+            detail = f"{exc}\n{traceback.format_exc()}"
+            return rows, stats, (vt_index, BuildError(current, detail)), arrays_out
+        rows.extend(zip([vt_index] * len(records), present, records))
     return rows, stats, None, arrays_out
 
 

@@ -53,8 +53,12 @@ def read_manifest(index_dir: str | Path) -> Manifest:
     path = Path(index_dir) / MANIFEST_NAME
     if not path.exists():
         raise IndexCorruptError(f"{path}: missing manifest")
+    try:
+        content = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IndexCorruptError(f"{path}: manifest is not UTF-8 text ({exc})") from exc
     fields: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+    for lineno, line in enumerate(content.splitlines(), 1):
         line = line.strip()
         if not line:
             continue

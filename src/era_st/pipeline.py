@@ -191,7 +191,8 @@ def open_index(index_dir: str | Path) -> SuffixIndex:
 
     Raises IndexCorruptError for a missing or malformed part, including a
     ``text.bin`` that is not a valid text or not the one the manifest's
-    ``text_digest`` records.
+    ``text_digest`` records, and a direct trie leaf that does not end the
+    text.
     """
     root = Path(index_dir)
     manifest = read_manifest(root)
@@ -211,6 +212,9 @@ def open_index(index_dir: str | Path) -> SuffixIndex:
     trie = TopTrie.from_bytes(trie_path.read_bytes(), source=str(trie_path))
     if manifest.n != text.n:
         raise IndexCorruptError(f"{root}: manifest n={manifest.n} but text has {text.n}")
+    for leaf in trie.leaves:
+        if leaf.is_direct and leaf.prefix != text.data[text.n - len(leaf.prefix) :]:
+            raise IndexCorruptError(f"{trie_path}: direct leaf {leaf.prefix.hex()} does not end the text")
     index = SuffixIndex(root, trie, text, manifest.n)
     index.manifest = manifest
     return index

@@ -13,9 +13,13 @@ Node i is a leaf iff end[i] == i + 1.  Its children are i + 1, end[i + 1],
 and so on while below end[i].  The edge into child c of a node at depth d
 spells text symbols pos[c] + d through pos[c] + depth[c] - 1 (1-based), the
 slice data[pos[c] + d - 1 : pos[c] + depth[c] - 1], so edge labels are never
-stored.  The root sits at depth len(prefix); a
-prefix that occurs once gives a one-leaf subtree whose edge runs from there
-to the text end.
+stored.  The root sits at depth len(prefix); a prefix that occurs once
+gives a one-leaf subtree whose edge runs from there to the text end.
+
+The subtrees of all members of one virtual tree are built in one array pass
+over their concatenated branch depths: nearest-smaller-depth searches over a
+sparse table of minima find every lcp interval, and one sort puts all of
+them in preorder.
 
 Queries descend the top trie one symbol at a time, load at most one subtree
 file on the way down, and compare whole edge labels against the text.
@@ -77,61 +81,114 @@ class SuffixSubtree:
         yield from self.pos[node_index:stop][is_leaf].tolist()
 
 
-def build_subtree(arrays: SubtreeArrays, text: Text) -> SuffixSubtree:
-    """Preorder arrays from (sa, lcp).
+def _min_table(values: np.ndarray, span: int) -> list[np.ndarray]:
+    """Sparse table: level j holds the minimum of values[i : i + 2**j], for
+    every 2**j <= span."""
+    levels = [values]
+    while 1 << len(levels) <= span:
+        half = 1 << (len(levels) - 1)
+        levels.append(np.minimum(levels[-1][:-half], levels[-1][half:]))
+    return levels
 
-    One stack sweep over the branch depths lists the lcp intervals as (left
-    boundary, right boundary, depth): the root at len(prefix), plus one
-    interval per distinct deeper branch depth.  Leaf k is the interval (k, k)
-    at its suffix length.  Sorting all of them by (left boundary, depth)
-    gives preorder, and a node's subtree ends at the first node whose left
-    boundary lies past its right boundary.
+
+def _previous_not_greater(levels: list[np.ndarray], at: np.ndarray) -> np.ndarray:
+    """For each index in ``at``, the nearest index to its left holding a
+    value <= its own.  One must lie within the table's span, and index 0
+    must hold a value <= every target: a window clipped at 0 then fails."""
+    target = levels[0][at]
+    cur = at  # every index in [cur, at) holds a greater value
+    for j in range(len(levels) - 1, -1, -1):
+        cand = cur - (1 << j)
+        cur = np.where(levels[j][np.maximum(cand, 0)] > target, cand, cur)
+    return cur - 1
+
+
+def _next_smaller(levels: list[np.ndarray], at: np.ndarray) -> np.ndarray:
+    """For each index in ``at``, the nearest index to its right holding a
+    value < its own.  One must lie within the table's span, and the last
+    index must hold a value < every target: a window clipped there fails."""
+    target = levels[0][at]
+    cur = at + 1  # every index in (at, cur) holds a value >= its own
+    for j in range(len(levels) - 1, -1, -1):
+        level = levels[j]
+        ok = level[np.minimum(cur, len(level) - 1)] >= target
+        cur = cur + (ok << j)
+    return cur
+
+
+def build_subtree(batch: list[SubtreeArrays], text: Text) -> list[SuffixSubtree]:
+    """Preorder arrays from (sa, lcp) for all members of one virtual tree.
+
+    The members' slots are laid end to end; pair k, between slots k-1 and
+    k, carries that branch depth, and a -1 sentinel stands before every
+    member and after the last.  Each member's root is the interval over all
+    its slots at depth len(prefix).  A deeper pair opens an lcp interval iff
+    the nearest pair on its left at a depth <= its own is strictly shallower
+    (it is the interval's first pair at that depth); the interval runs from
+    there to the pair before the nearest strictly shallower pair on its
+    right.  Leaf k is the interval (k, k) at its suffix length.  Sorting all
+    intervals by the unique key (left boundary, depth) gives preorder, and a
+    node's subtree ends at the first node whose left boundary lies past its
+    right boundary.  Both nearest-smaller searches descend one sparse table
+    of minima, so no step loops over pairs.
     """
-    sa, lcp, prefix = arrays.sa, arrays.lcp, arrays.prefix
-    m = len(sa)
-    if m == 0:
-        raise CorruptArraysError("empty suffix array")
-    if len(lcp) != m - 1:
-        raise CorruptArraysError(f"expected {m - 1} lcp triples, got {len(lcp)}")
-    depth0 = len(prefix)
-    lengths = [text.n - p + 1 for p in sa]
-    if depth0 >= lengths[0]:
-        raise CorruptArraysError(f"suffix {sa[0]} has no symbols below depth {depth0}")
+    sizes = np.array([len(a.sa) for a in batch], dtype=np.int64)
+    for a, m in zip(batch, sizes.tolist()):
+        if m == 0:
+            raise CorruptArraysError("empty suffix array")
+        if len(a.lcp) != m - 1:
+            raise CorruptArraysError(f"expected {m - 1} lcp triples, got {len(a.lcp)}")
+    if not batch:
+        return []
+    first = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    sa = np.concatenate([a.sa for a in batch])
+    lengths = text.n + 1 - sa
+    depth0 = np.array([len(a.prefix) for a in batch], dtype=np.int64)
+    if (depth0 >= lengths[first]).any():
+        j = int(np.argmax(depth0 >= lengths[first]))
+        raise CorruptArraysError(f"suffix {sa[first[j]]} has no symbols below depth {depth0[j]}")
 
-    # a one-leaf subtree has no root interval: the leaf is the root
-    lefts, rights, depths = ([0], [m - 1], [depth0]) if m > 1 else ([], [], [])
-    stack = [(depth0, 0)]  # open intervals on the rightmost path: (depth, left boundary)
-    for k, (left_sym, right_sym, depth) in enumerate(lcp, 1):
-        if depth < depth0:
-            raise CorruptArraysError(f"branch depth {depth} above the prefix depth {depth0}")
-        if left_sym >= right_sym:
-            raise CorruptArraysError(f"branch symbols out of order ({left_sym} >= {right_sym})")
-        if depth >= lengths[k - 1] or depth >= lengths[k]:
-            raise CorruptArraysError(
-                f"branch depth {depth} reaches the end of suffix {sa[k - 1]} or {sa[k]}"
-            )
-        lb = k - 1
-        while depth < stack[-1][0]:
-            closed, lb = stack.pop()
-            lefts.append(lb)
-            rights.append(k - 1)
-            depths.append(closed)
-        if depth > stack[-1][0]:
-            stack.append((depth, lb))
-    for open_depth, lb in stack[1:]:
-        lefts.append(lb)
-        rights.append(m - 1)
-        depths.append(open_depth)
+    pairs = np.full((total + 1, 3), -1, dtype=np.int64)
+    inner = np.ones(total + 1, dtype=bool)
+    inner[first] = inner[total] = False
+    inner = np.flatnonzero(inner)
+    pairs[inner] = np.concatenate([a.lcp for a in batch])
+    left_sym, right_sym, depth = pairs[inner].T
+    floor = depth0[np.repeat(np.arange(len(batch)), sizes - 1)]
+    for bad, message in (
+        (depth < floor, lambda i: f"branch depth {depth[i]} above the prefix depth {floor[i]}"),
+        (left_sym >= right_sym, lambda i: f"branch symbols out of order ({left_sym[i]} >= {right_sym[i]})"),
+        (
+            (depth >= lengths[inner - 1]) | (depth >= lengths[inner]),
+            lambda i: f"branch depth {depth[i]} reaches the end of suffix {sa[inner[i] - 1]} or {sa[inner[i]]}",
+        ),
+    ):
+        if bad.any():
+            raise CorruptArraysError(message(int(np.argmax(bad))))
 
-    ranks = np.arange(m, dtype=np.int64)
-    left = np.concatenate((np.array(lefts, dtype=np.int64), ranks))
-    right = np.concatenate((np.array(rights, dtype=np.int64), ranks))
-    depth = np.concatenate((np.array(depths, dtype=np.int64), np.array(lengths, dtype=np.int64)))
-    order = np.lexsort((depth, left))
-    left, right, depth = left[order], right[order], depth[order]
-    end = np.searchsorted(left, right + 1).astype(np.int64)
-    pos = np.array(sa, dtype=np.int64)[left]
-    return SuffixSubtree(prefix, pos, depth, end)
+    depth = pairs[:, 2]
+    levels = _min_table(depth, int(sizes.max()))
+    deeper = inner[depth[inner] > floor]
+    before = _previous_not_greater(levels, deeper)
+    opens = depth[before] < depth[deeper]
+    deeper, before = deeper[opens], before[opens]
+    multi = sizes > 1
+    slots = np.arange(total)
+    left = np.concatenate((first[multi], before, slots))
+    right = np.concatenate((first[multi] + sizes[multi] - 1, _next_smaller(levels, deeper) - 1, slots))
+    node_depth = np.concatenate((depth0[multi], depth[deeper], lengths))
+    order = np.argsort(left * (int(lengths.max()) + 1) + node_depth)
+    left, right, node_depth = left[order], right[order], node_depth[order]
+    # every slot has its leaf: first_node[k] is the first node whose left boundary is k
+    first_node = np.append(np.flatnonzero(np.diff(left, prepend=-1)), len(left))
+    end = first_node[right + 1]
+    pos = sa[left]
+    bounds = first_node[np.append(first, total)]
+    return [
+        SuffixSubtree(a.prefix, pos[lo:hi], node_depth[lo:hi], end[lo:hi] - lo)
+        for a, lo, hi in zip(batch, bounds[:-1].tolist(), bounds[1:].tolist())
+    ]
 
 
 def subtree_to_bytes(tree: SuffixSubtree) -> bytes:

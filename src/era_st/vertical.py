@@ -25,11 +25,6 @@ from .text import BuildConfig, Text
 TRIE_MAGIC = b"ERTT"
 TRIE_VERSION = 1
 
-# Candidate sets stay small early on; per-candidate substring search beats
-# building the window-code table until the set grows.
-_FIND_FALLBACK_MAX = 8
-
-
 @dataclass(frozen=True)
 class PrefixEntry:
     """A prefix and its substring frequency in the text."""
@@ -99,7 +94,8 @@ def count_frequencies(text: Text, candidates, reader: BlockReader) -> dict[bytes
 def _count_windows(data: bytes, cands: list[bytes], length: int, sigma: int) -> dict[bytes, int]:
     if len(data) - length + 1 <= 0:
         return {c: 0 for c in cands}
-    if len(cands) <= _FIND_FALLBACK_MAX or length > _codes.max_code_len(sigma):
+    if length > _codes.max_code_len(sigma):
+        # no 64-bit window code holds the candidates: one substring search each
         out = {}
         for c in cands:
             cnt = 0
@@ -111,18 +107,12 @@ def _count_windows(data: bytes, cands: list[bytes], length: int, sigma: int) -> 
         return out
 
     base = sigma + 1
-    codes = _codes.window_codes(data, length, base)
     cand_codes = np.array([_codes.pattern_code(c, base) for c in cands], dtype=np.int64)
-    order = np.argsort(cand_codes, kind="stable")
-    sorted_codes = cand_codes[order]
-    idx = np.searchsorted(sorted_codes, codes)
-    idx_c = np.minimum(idx, len(cands) - 1)
-    hits = idx_c[sorted_codes[idx_c] == codes]
-    counts = np.bincount(hits, minlength=len(cands))
-    out = {}
-    for rank, orig in enumerate(order):
-        out[cands[orig]] = int(counts[rank])
-    return out
+    sorted_codes = np.sort(cand_codes)
+    codes = _codes.window_codes(data, length, base)
+    idx = np.minimum(np.searchsorted(sorted_codes, codes), len(cands) - 1)
+    counts = np.bincount(idx[sorted_codes[idx] == codes], minlength=len(cands))
+    return dict(zip(cands, counts[np.searchsorted(sorted_codes, cand_codes)].tolist()))
 
 
 def partition_prefixes(
@@ -319,8 +309,11 @@ class TopTrie:
             except struct.error as exc:
                 raise IndexCorruptError(f"{source}: truncated entry ({exc})") from exc
             try:
-                trie.insert(TrieLeaf(prefix, name.decode() if nlen else None))
-            except ValueError as exc:  # a duplicate prefix, or a name that is not UTF-8
+                leaf = TrieLeaf(prefix, name.decode() if nlen else None)
+                if nlen and leaf.file_name != subtree_file_name(prefix):
+                    raise ValueError(f"prefix {prefix.hex()} stored as {leaf.file_name!r}")
+                trie.insert(leaf)
+            except ValueError as exc:  # a duplicate prefix, a foreign or non-UTF-8 name
                 raise IndexCorruptError(f"{source}: bad entry ({exc})") from exc
         if off != len(data):
             raise IndexCorruptError(f"{source}: {len(data) - off} trailing bytes")

@@ -3,6 +3,7 @@ internals so equivalence assertions mean something."""
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
 from era_st.text import Text
@@ -42,6 +43,30 @@ def brute_arrays(text: Text, prefix: bytes):
         d = pair_lcp(text, sa[i - 1], sa[i])
         lcp.append((text.data[sa[i - 1] - 1 + d], text.data[sa[i] - 1 + d], d))
     return sa, lcp
+
+
+def reference_subtree(sa: list[int], depths: list[int], root_depth: int, n: int):
+    """Preorder (pos, depth, end) of the lcp-interval tree of one prefix, by
+    the textbook stack sweep over its branch depths."""
+    m = len(sa)
+    nodes = [(0, m - 1, root_depth)] if m > 1 else []  # (left, right, depth)
+    stack = [(root_depth, 0)]  # open intervals: (depth, left)
+    for k, d in enumerate(depths, 1):
+        left = k - 1
+        while d < stack[-1][0]:
+            closed, left = stack.pop()
+            nodes.append((left, k - 1, closed))
+        if d > stack[-1][0]:
+            stack.append((d, left))
+    nodes += [(left, m - 1, d) for d, left in stack[1:]]
+    nodes += [(k, k, n - sa[k] + 1) for k in range(m)]
+    nodes.sort(key=lambda node: (node[0], node[2]))
+    lefts = [node[0] for node in nodes]
+    return (
+        [sa[left] for left, _, _ in nodes],
+        [d for _, _, d in nodes],
+        [bisect.bisect_left(lefts, right + 1) for _, right, _ in nodes],
+    )
 
 
 def child_nodes(end: list[int], i: int) -> list[int]:

@@ -101,8 +101,7 @@ def check_one_text(text: Text, config: BuildConfig, tally: CorpusTally) -> None:
     horizontal = run_horizontal(text, vtrees, config)
     frequencies = {e.prefix: e.frequency for e in part.entries}
     trees = {}
-    for arrays in horizontal.subtrees:
-        tree = build_subtree(arrays, text)
+    for arrays, tree in zip(horizontal.subtrees, build_subtree(horizontal.subtrees, text)):
         trees[arrays.prefix] = tree
         check_tree_invariants(tree, text, frequencies[arrays.prefix])
         for k in range(1, len(arrays.sa)):

@@ -81,6 +81,18 @@ class TestReadRange:
             r.charge_ranges(starts, 2)
         assert (r.stats.blocks_read, r.stats.range_reads) == (0, 0)
 
+    def test_batch_length_below_one_rejected(self):
+        r = reader_for(generate_random_text(20, 2, 0), 4)
+        with pytest.raises(RangeError):
+            r.charge_ranges([1, 5], [3, 0])
+        assert (r.stats.blocks_read, r.stats.range_reads) == (0, 0)
+
+    def test_batch_lengths_per_read(self):
+        # reads 1..6 (blocks 0-1), 5..5 (block 1, resident), 9..20 (blocks 2-4)
+        r = reader_for(generate_random_text(20, 2, 0), 4)
+        r.charge_ranges([1, 5, 9], [6, 1, 40])
+        assert (r.stats.blocks_read, r.stats.range_reads) == (5, 3)
+
     def test_scan_invariant_lower_bound(self):
         text = generate_random_text(50, 2, 0)
         r = reader_for(text, 8)
@@ -126,6 +138,8 @@ class TraceOracle:
             st.tuples(st.integers(1, 120), st.integers(1, 40)),
             # a batch: charge_ranges over ascending starts
             st.tuples(st.lists(st.integers(1, 120), max_size=12).map(sorted), st.integers(1, 40)),
+            # a batch with one length per read, starts in any order
+            st.lists(st.tuples(st.integers(1, 120), st.integers(1, 40)), max_size=12),
         ),
         max_size=30,
     ),
@@ -139,6 +153,12 @@ def test_counter_exactness_against_replay(n, block, ops):
         if op is None:
             r.charge_full_scan()
             oracle.scan()
+        elif isinstance(op, list):
+            batch = [(start, length) for start, length in op if start <= n]
+            r.charge_ranges([start for start, _ in batch], [length for _, length in batch])
+            for start, length in batch:
+                oracle.read(start, length)
+            reads += len(batch)
         elif isinstance(op[0], list):
             starts = [s for s in op[0] if s <= n]
             r.charge_ranges(starts, op[1])

@@ -35,6 +35,10 @@ def sym(text, s):
     return bytes(text.byte_map[ord(c)] for c in s)
 
 
+def as_lists(occurrences):
+    return {prefix: hits.tolist() for prefix, hits in occurrences.items()}
+
+
 class TestGetRange:
     def test_floor_within_clamp(self):
         assert get_range_of_symbols(4, cfg(64, 4)) == 8
@@ -55,18 +59,18 @@ class TestLocate:
         t = from_str("mississippi$")
         vt = VirtualTree([PrefixEntry(sym(t, "i"), 4)])
         got = locate_occurrences(t, vt, reader(t))
-        assert got == {sym(t, "i"): [2, 5, 8, 11]}
+        assert as_lists(got) == {sym(t, "i"): [2, 5, 8, 11]}
 
     def test_two_members(self):
         t = from_str("banana$")
         vt = VirtualTree([PrefixEntry(sym(t, "b"), 1), PrefixEntry(sym(t, "n"), 2)])
         got = locate_occurrences(t, vt, reader(t))
-        assert got == {sym(t, "b"): [1], sym(t, "n"): [3, 5]}
+        assert as_lists(got) == {sym(t, "b"): [1], sym(t, "n"): [3, 5]}
 
     def test_absent_prefix_yields_empty(self):
         t = from_str("banana$", sigma=26)
         vt = VirtualTree([PrefixEntry(b"\x19\x19", 1)])
-        assert locate_occurrences(t, vt, reader(t)) == {b"\x19\x19": []}
+        assert as_lists(locate_occurrences(t, vt, reader(t))) == {b"\x19\x19": []}
 
     def test_one_scan_per_virtual_tree(self):
         t = generate_random_text(64, 4, 0)
@@ -89,7 +93,7 @@ class TestLocate:
         tables = {}
         for _ in range(2):  # the second pass reuses the cached tables
             got = locate_occurrences(t, vt, reader(t), tables=tables)
-            assert got == {p: substring_positions(t.data, p) for p in prefixes}
+            assert as_lists(got) == {p: substring_positions(t.data, p) for p in prefixes}
         assert sorted(tables) == [min(length, 10)]
 
     def test_timer_attribution_by_tree_size(self):
@@ -109,34 +113,34 @@ class TestLocate:
 class TestSubtreePrepare:
     def test_mississippi_i(self):
         t = from_str("mississippi$")
-        arrays = subtree_prepare(t, sym(t, "i"), [2, 5, 8, 11], cfg(8, 1), reader(t))
-        assert arrays.sa == [11, 8, 5, 2]
-        assert [d for _, _, d in arrays.lcp] == [1, 1, 4]
+        [arrays] = subtree_prepare(t, [sym(t, "i")], [[2, 5, 8, 11]], cfg(8, 1), reader(t))
+        assert arrays.sa.tolist() == [11, 8, 5, 2]
+        assert arrays.lcp[:, 2].tolist() == [1, 1, 4]
         i, p, s = t.byte_map[ord("i")], t.byte_map[ord("p")], t.byte_map[ord("s")]
-        assert arrays.lcp == [(0, p, 1), (p, s, 1), (p, s, 4)]
+        assert arrays.lcp.tolist() == [[0, p, 1], [p, s, 1], [p, s, 4]]
 
     def test_banana_a(self):
         t = from_str("banana$")
-        arrays = subtree_prepare(t, sym(t, "a"), [2, 4, 6], cfg(8, 1), reader(t))
-        assert arrays.sa == [6, 4, 2]
-        assert [d for _, _, d in arrays.lcp] == [1, 3]
+        [arrays] = subtree_prepare(t, [sym(t, "a")], [[2, 4, 6]], cfg(8, 1), reader(t))
+        assert arrays.sa.tolist() == [6, 4, 2]
+        assert arrays.lcp[:, 2].tolist() == [1, 3]
 
     def test_single_occurrence_runs_zero_iterations(self):
         t = from_str("banana$")
-        arrays = subtree_prepare(t, sym(t, "b"), [1], cfg(8, 1), reader(t))
-        assert arrays.sa == [1]
-        assert arrays.lcp == []
+        [arrays] = subtree_prepare(t, [sym(t, "b")], [[1]], cfg(8, 1), reader(t))
+        assert arrays.sa.tolist() == [1]
+        assert arrays.lcp.shape == (0, 3)
         assert arrays.iterations == 0
 
     def test_empty_positions_rejected(self):
         t = from_str("banana$")
         with pytest.raises(ValueError):
-            subtree_prepare(t, sym(t, "b"), [], cfg(8, 1), reader(t))
+            subtree_prepare(t, [sym(t, "b"), sym(t, "n")], [[1], []], cfg(8, 1), reader(t))
 
     def test_range_reads_charged_per_round(self):
         t = from_str("banana$")
         r = reader(t, block=1)
-        arrays = subtree_prepare(t, sym(t, "a"), [2, 4, 6], cfg(2, 1), r)
+        [arrays] = subtree_prepare(t, [sym(t, "a")], [[2, 4, 6]], cfg(2, 1), r)
         assert arrays.iterations >= 2
         assert r.stats.range_reads > 0
 
@@ -156,12 +160,12 @@ class TestSubtreePrepare:
         if not positions:
             return
         config = cfg(m, 1)
-        got = subtree_prepare(
-            text, prefix, positions, config, reader(text), check_invariants=True
+        [got] = subtree_prepare(
+            text, [prefix], [positions], config, reader(text), check_invariants=True
         )
         want_sa, want_lcp = brute_arrays(text, prefix)
-        assert got.sa == want_sa
-        assert got.lcp == want_lcp
+        assert got.sa.tolist() == want_sa
+        assert list(map(tuple, got.lcp.tolist())) == want_lcp
 
     def test_invariant_checks_clean_on_classics(self):
         for s in ("banana$", "mississippi$", "abracadabra$", "aabbaabb$"):
@@ -169,13 +173,13 @@ class TestSubtreePrepare:
             for prefix_char in sorted(set(s) - {"$"}):
                 prefix = sym(t, prefix_char)
                 positions = substring_positions(t.data, prefix)
-                subtree_prepare(t, prefix, positions, cfg(2, 1), reader(t), check_invariants=True)
+                subtree_prepare(t, [prefix], [positions], cfg(2, 1), reader(t), check_invariants=True)
 
     def test_depths_are_absolute_from_suffix_start(self):
         t = from_str("banana$")
-        arrays = subtree_prepare(t, sym(t, "an"), [2, 4], cfg(8, 1), reader(t))
-        assert arrays.sa == [4, 2]
-        assert arrays.lcp == [(0, sym(t, "n")[0], 3)]
+        [arrays] = subtree_prepare(t, [sym(t, "an")], [[2, 4]], cfg(8, 1), reader(t))
+        assert arrays.sa.tolist() == [4, 2]
+        assert arrays.lcp.tolist() == [[0, sym(t, "n")[0], 3]]
 
     def test_skew_guard_fires_on_long_ties(self):
         body = generate_random_text(129, 4, 3).data[:-1]
@@ -183,7 +187,7 @@ class TestSubtreePrepare:
         prefix = doubled.data[:1]
         positions = substring_positions(doubled.data, prefix)
         with pytest.raises(SkewedInputError) as exc:
-            subtree_prepare(doubled, prefix, positions, cfg(8, 2, max_prefix_len=16), reader(doubled))
+            subtree_prepare(doubled, [prefix], [positions], cfg(8, 2, max_prefix_len=16), reader(doubled))
         assert exc.value.phase == "horizontal"
         assert len(exc.value.prefix) > 16
         assert exc.value.frequency >= 2
@@ -208,6 +212,71 @@ class TestSubtreePrepare:
         for arrays in bad:
             with pytest.raises(AssertionError):
                 horizontal._check_arrays(t, arrays, [2, 5, 8, 11])
+
+
+class TestPrepareBatch:
+    """A virtual tree prepared in one call equals its members prepared one
+    after the other on the same reader: arrays, rounds, counters, resident
+    block and, on skew, the error."""
+
+    @staticmethod
+    def one_by_one(text, prefixes, positions, config, r):
+        out = []
+        for prefix, hits in zip(prefixes, positions):
+            out += subtree_prepare(text, [prefix], [hits], config, r)
+        return out
+
+    @settings(max_examples=150)
+    @given(
+        body=st.binary(min_size=2, max_size=120),
+        sigma=st.integers(2, 4),
+        plen=st.integers(1, 3),
+        pick=st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True),
+        m=st.sampled_from([4, 8, 16, 64]),
+        b=st.sampled_from([1, 2]),
+        doubled=st.booleans(),
+    )
+    def test_batch_equals_members_one_by_one(self, body, sigma, plen, pick, m, b, doubled):
+        symbols = bytes(x % sigma + 1 for x in body)
+        if doubled:
+            symbols += symbols
+        text = Text(symbols + b"\x00", sigma)
+        windows = sorted({text.data[i : i + plen] for i in range(text.n - plen)})
+        if not windows:
+            return
+        prefixes = [windows[i % len(windows)] for i in pick]
+        prefixes = list(dict.fromkeys(prefixes))  # distinct, in picked order
+        positions = [substring_positions(text.data, p) for p in prefixes]
+        config = cfg(m, b, max_prefix_len=12)
+        outcomes = []
+        for prepare in (subtree_prepare, self.one_by_one):
+            r = reader(text, block=b)
+            r.charge_full_scan()
+            try:
+                got = prepare(text, prefixes, positions, config, r)
+                result = [(a, a.iterations) for a in got]
+            except SkewedInputError as exc:
+                result = (exc.prefix, exc.frequency)
+            outcomes.append((result, r.stats.counters(), r._resident))
+        assert outcomes[0] == outcomes[1]
+
+    def test_members_keep_their_order_and_rounds(self):
+        t = from_str("mississippi$")
+        prefixes = [sym(t, "s"), sym(t, "i"), sym(t, "p")]
+        positions = [substring_positions(t.data, p) for p in prefixes]
+        batch = subtree_prepare(t, prefixes, positions, cfg(4, 1), reader(t))
+        assert [a.prefix for a in batch] == prefixes
+        assert batch[1].sa.tolist() == [11, 8, 5, 2]
+        assert [a.iterations for a in batch] == [
+            a.iterations for p, q in zip(prefixes, positions)
+            for a in subtree_prepare(t, [p], [q], cfg(4, 1), reader(t))
+        ]
+
+    def test_empty_batch(self):
+        t = from_str("banana$")
+        r = reader(t)
+        assert subtree_prepare(t, [], [], cfg(8, 1), r) == []
+        assert r.stats.counters() == IoStats(PHASE_HORIZONTAL, 0).counters()
 
 
 class TestRunHorizontal:
@@ -345,3 +414,65 @@ class TestPinnedCounters:
         result = build_index(text, cfg(64, 4, workers_p=p), tmp_path)
         assert (tmp_path / "stats.csv").read_text() == self.STATS[p]
         assert "".join(str(r.iterations) for r in result.records) == self.ITERATIONS
+
+
+class TestPinnedVirtualTrees:
+    """Whole-virtual-tree outputs of the member-by-member preparation loop."""
+
+    def test_first_skewing_member_reported(self):
+        # alone, the second member skews after 3 rounds and the first after
+        # 6; the first member's error is the one raised
+        body = generate_random_text(97, 4, 0).data[:-1]
+        doubled = Text(body + body + b"\x00", 4)
+        config = cfg(16, 2, max_prefix_len=12)
+        second = PrefixEntry(b"\x04\x04\x02", 2)
+        vtree = VirtualTree([PrefixEntry(b"\x01", 40), second])
+        with pytest.raises(SkewedInputError) as exc:
+            run_horizontal(doubled, [vtree], config)
+        assert (exc.value.prefix.hex(), exc.value.frequency) == ("01010101020401020201040201", 2)
+        with pytest.raises(SkewedInputError) as exc:
+            run_horizontal(doubled, [VirtualTree([second])], config)
+        assert (exc.value.prefix.hex(), exc.value.frequency) == ("040402030102010104020103010101", 2)
+
+    def test_multi_member_multi_round_arrays(self):
+        text = generate_random_text(48, 3, 7)
+        vtrees = [
+            VirtualTree(
+                [
+                    PrefixEntry(b"\x01", 1),
+                    PrefixEntry(b"\x03\x02", 1),
+                    PrefixEntry(b"\x02\x02", 1),
+                    PrefixEntry(b"\x02\x01\x03\x03", 1),
+                ]
+            ),
+            VirtualTree([PrefixEntry(b"\x03\x03", 1)]),
+        ]
+        res = run_horizontal(text, vtrees, cfg(8, 1))
+        got = [
+            (a.prefix.hex(), list(map(int, a.sa)), [list(map(int, t)) for t in a.lcp], a.iterations)
+            for a in res.subtrees
+        ]
+        assert got == [
+            (
+                "01",
+                [32, 33, 34, 40, 6, 35, 25, 41, 46, 30, 7, 19, 36, 26, 44, 42, 2, 11],
+                [
+                    [1, 2, 4], [1, 2, 3], [2, 3, 3], [1, 2, 2], [2, 3, 3], [1, 2, 6],
+                    [2, 3, 2], [1, 2, 1], [0, 1, 2], [1, 2, 2], [1, 2, 4], [2, 3, 2],
+                    [1, 2, 5], [2, 3, 1], [2, 3, 3], [1, 3, 2], [2, 3, 3],
+                ],
+                6,
+            ),
+            ("0302", [4, 16], [[1, 3, 2]], 1),
+            ("0202", [9, 8, 20, 21, 22], [[1, 2, 2], [1, 2, 3], [2, 3, 3], [2, 3, 2]], 2),
+            ("02010303", [1, 10], [[2, 3, 4]], 1),
+            (
+                "0303",
+                [38, 28, 3, 15, 14, 13, 12],
+                [[1, 2, 3], [1, 2, 2], [1, 3, 3], [2, 3, 2], [2, 3, 3], [2, 3, 4]],
+                3,
+            ),
+        ]
+        assert [(r.prefix.hex(), r.occurrences, r.iterations, r.max_lcp_depth) for r in res.records] == [
+            ("01", 18, 6, 6), ("0302", 2, 1, 2), ("0202", 5, 2, 3), ("02010303", 2, 1, 4), ("0303", 7, 3, 4)
+        ]

@@ -369,6 +369,76 @@ class TestCorruptionFuzz:
             victim.write_bytes(original)
 
 
+class TestCorruptManifest:
+    def test_non_utf8_manifest_rejected(self, tmp_path, capsys):
+        t = from_str("mississippi$")
+        d = tmp_path / "idx"
+        build_index(t, cfg(8, 1), d)
+        blob = bytearray((d / "manifest.txt").read_bytes())
+        blob[4] ^= 0x80
+        (d / "manifest.txt").write_bytes(bytes(blob))
+        with pytest.raises(IndexCorruptError, match="not UTF-8"):
+            open_index(d)
+        assert main(["query", str(d), "exists", "ab"]) == 1
+        assert "corrupt index" in capsys.readouterr().err
+        outcome = verify_index(d, t)
+        assert (outcome.ok, outcome.exit_code) == (False, 1)
+
+
+def longest_match(data: bytes, pattern: bytes) -> int:
+    return max((k for k in range(len(pattern) + 1) if pattern[:k] in data), default=0)
+
+
+@pytest.fixture(scope="module")
+def fuzz_payload(tmp_path_factory):
+    """An intact index, its text and probe patterns for the trie and
+    manifest fuzz."""
+    t = generate_random_text(300, 3, 4)
+    d = tmp_path_factory.mktemp("fuzz_payload")
+    build_index(t, cfg(64, 1), d)
+    rng = random.Random(5)
+    patterns = [t.data[i : i + k] for i in rng.sample(range(t.n), 12) for k in (1, 3, 9)]
+    patterns += [bytes(rng.randint(1, 3) for _ in range(rng.randint(1, 8))) for _ in range(12)]
+    return t, d, patterns
+
+
+class TestPayloadCorruptionFuzz:
+    """A damaged trie.bin or manifest.txt gives the oracle's answers or
+    IndexCorruptError, nothing else."""
+
+    @pytest.mark.parametrize("victim", ["trie.bin", "manifest.txt"])
+    @settings(max_examples=200)
+    @given(
+        flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), max_size=4),
+        cut=st.one_of(st.none(), st.integers(0, 10**6)),
+    )
+    def test_damaged_file_answers_or_raises_corrupt(self, fuzz_payload, victim, flips, cut):
+        t, d, patterns = fuzz_payload
+        path = d / victim
+        original = path.read_bytes()
+        blob = bytearray(original)
+        for at, mask in flips:
+            blob[at % len(blob)] ^= mask
+        if cut is not None:
+            blob = blob[: cut % len(blob)]
+        path.write_bytes(bytes(blob))
+        try:
+            idx = open_index(d)
+            for pattern in patterns:
+                want = naive_search(t, pattern)
+                assert idx.locate(pattern) == want
+                assert idx.exists(pattern) == bool(want)
+                length, witness = idx.longest_prefix(pattern)
+                assert length == longest_match(t.data, pattern)
+                if length:
+                    assert t.data[witness - 1 : witness - 1 + length] == pattern[:length]
+            assert list(idx.iter_leaf_positions()) == naive_suffix_array(t)
+        except IndexCorruptError:
+            pass
+        finally:
+            path.write_bytes(original)
+
+
 class TestDigestDeterminism:
     def test_digest_stable_across_worker_counts(self, tmp_path):
         t = generate_random_text(600, 4, 3)

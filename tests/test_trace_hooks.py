@@ -37,3 +37,8 @@ def test_spans_recorded_through_public_hooks(tmp_path):
         "pipeline.verify_leafwalk",
     ):
         assert name in recorded, name
+    # each virtual tree is prepared and built in one call
+    vtrees = len(tracer.vtrees)
+    assert vtrees > 1
+    assert tracer.count("setup", "horizontal.prepare") == vtrees
+    assert tracer.count("setup", "tree.build_subtree") == vtrees

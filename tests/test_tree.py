@@ -17,7 +17,7 @@ from era_st.tree import (
     serialize_subtree,
     subtree_to_bytes,
 )
-from helpers import brute_arrays, child_nodes, substring_positions
+from helpers import brute_arrays, child_nodes, reference_subtree, substring_positions
 
 
 def sym(text, s):
@@ -41,7 +41,7 @@ def is_leaf(tree, i):
 class TestBuildSubtree:
     def test_banana_a_shape(self):
         t = from_str("banana$")
-        tree = build_subtree(arrays_for(t, sym(t, "a")), t)
+        [tree] = build_subtree([arrays_for(t, sym(t, "a"))], t)
         assert tree.leaf_positions() == [6, 4, 2]
         # preorder: root at depth 1, leaf "a$", internal "ana", leaves "ana$", "anana$"
         assert tree.pos.tolist() == [6, 6, 4, 4, 2]
@@ -53,7 +53,7 @@ class TestBuildSubtree:
 
     def test_single_leaf_spans_to_text_end(self):
         t = from_str("banana$")
-        tree = build_subtree(arrays_for(t, sym(t, "b")), t)
+        [tree] = build_subtree([arrays_for(t, sym(t, "b"))], t)
         assert len(tree.pos) == 1 and is_leaf(tree, 0)
         assert tree.pos[0] == 1 and tree.depth[0] == 7
         # the edge below the prefix "b" runs to the text end: "anana$"
@@ -61,7 +61,7 @@ class TestBuildSubtree:
 
     def test_mississippi_i_shape(self):
         t = from_str("mississippi$")
-        tree = build_subtree(arrays_for(t, sym(t, "i")), t)
+        [tree] = build_subtree([arrays_for(t, sym(t, "i"))], t)
         assert tree.leaf_positions() == [11, 8, 5, 2]
         internals = [i for i in range(len(tree.pos)) if not is_leaf(tree, i)]
         # string depths of the internal nodes: the root at |pi|=1, a branch at 4 ("issi")
@@ -70,21 +70,21 @@ class TestBuildSubtree:
 
     def test_root_may_have_single_child(self):
         t = from_str("banana$")
-        tree = build_subtree(arrays_for(t, sym(t, "an")), t)
+        [tree] = build_subtree([arrays_for(t, sym(t, "an"))], t)
         assert len(child_nodes(tree.end.tolist(), 0)) == 1
         assert tree.leaf_positions() == [4, 2]
 
     def test_internal_degree_at_least_two_below_root(self):
         t = from_str("mississippi$")
         for c in "imps":
-            tree = build_subtree(arrays_for(t, sym(t, c)), t)
+            [tree] = build_subtree([arrays_for(t, sym(t, c))], t)
             for i in range(1, len(tree.pos)):
                 if not is_leaf(tree, i):
                     assert len(child_nodes(tree.end.tolist(), i)) >= 2
 
     def test_children_ordered_by_first_symbol(self):
         t = from_str("mississippi$")
-        tree = build_subtree(arrays_for(t, sym(t, "s")), t)
+        [tree] = build_subtree([arrays_for(t, sym(t, "s"))], t)
         for i in range(len(tree.pos)):
             symbols = first_edge_symbols(tree, t, i)
             assert symbols == sorted(symbols)
@@ -94,28 +94,61 @@ class TestBuildSubtree:
         t = from_str("banana$")
         bad = SubtreeArrays(sym(t, "an"), [4, 2], [(0, 3, 1)])
         with pytest.raises(CorruptArraysError):
-            build_subtree(bad, t)
+            build_subtree([bad], t)
 
     def test_unordered_branch_symbols_rejected(self):
         t = from_str("banana$")
         bad = SubtreeArrays(sym(t, "a"), [6, 4, 2], [(3, 0, 1), (0, 3, 3)])
         with pytest.raises(CorruptArraysError):
-            build_subtree(bad, t)
+            build_subtree([bad], t)
 
     def test_depth_beyond_suffix_rejected(self):
         t = from_str("banana$")
         bad = SubtreeArrays(sym(t, "a"), [6, 4], [(0, 3, 9)])
         with pytest.raises(CorruptArraysError):
-            build_subtree(bad, t)
+            build_subtree([bad], t)
 
     def test_node_budget(self):
         t = from_str("abracadabra$")
         for c in "abcdr":
             prefix = sym(t, c)
-            tree = build_subtree(arrays_for(t, prefix), t)
+            [tree] = build_subtree([arrays_for(t, prefix)], t)
             f = len(substring_positions(t.data, prefix))
             assert len(tree.leaf_positions()) == f
             assert len(tree.pos) <= 2 * f
+
+
+class TestBuildBatch:
+    @settings(max_examples=60)
+    @given(
+        body=st.binary(min_size=1, max_size=60),
+        sigma=st.integers(2, 4),
+        plen=st.integers(1, 3),
+    )
+    def test_every_member_matches_the_stack_sweep(self, body, sigma, plen):
+        text = Text(bytes(b % sigma + 1 for b in body) + b"\x00", sigma)
+        prefixes = sorted({text.data[i : i + plen] for i in range(text.n - plen)} - {b""})
+        prefixes = [p for p in prefixes if b"\x00" not in p]
+        if not prefixes:
+            return
+        batch = [arrays_for(text, p) for p in prefixes]
+        trees = build_subtree(batch, text)
+        assert [tree.prefix for tree in trees] == prefixes
+        for arrays, tree in zip(batch, trees):
+            want = reference_subtree(
+                arrays.sa.tolist(), arrays.lcp[:, 2].tolist(), len(arrays.prefix), text.n
+            )
+            assert (tree.pos.tolist(), tree.depth.tolist(), tree.end.tolist()) == want
+
+    def test_empty_batch(self):
+        assert build_subtree([], from_str("banana$")) == []
+
+    def test_bad_member_rejects_the_batch(self):
+        t = from_str("banana$")
+        good = arrays_for(t, sym(t, "n"))
+        bad = SubtreeArrays(sym(t, "an"), [4, 2], [(0, 3, 1)])
+        with pytest.raises(CorruptArraysError, match="above the prefix depth"):
+            build_subtree([good, bad], t)
 
 
 def v2_layout(prefix, pos, depth, end):
@@ -132,12 +165,12 @@ class TestSerialization:
         for s in ("banana$", "mississippi$", "aaaa$"):
             t = from_str(s)
             for c in sorted(set(s) - {"$"}):
-                tree = build_subtree(arrays_for(t, sym(t, c)), t)
+                [tree] = build_subtree([arrays_for(t, sym(t, c))], t)
                 assert deserialize_subtree(subtree_to_bytes(tree), t.n) == tree
 
     def test_single_leaf_is_header_plus_one_record(self):
         t = from_str("banana$")
-        tree = build_subtree(arrays_for(t, sym(t, "b")), t)
+        [tree] = build_subtree([arrays_for(t, sym(t, "b"))], t)
         blob = subtree_to_bytes(tree)
         header = struct.calcsize("<4sHH") + 1 + struct.calcsize("<Q")
         record = struct.calcsize("<QQI")
@@ -145,7 +178,7 @@ class TestSerialization:
 
     def test_exact_little_endian_layout(self):
         t = from_str("banana$")
-        tree = build_subtree(arrays_for(t, sym(t, "a")), t)
+        [tree] = build_subtree([arrays_for(t, sym(t, "a"))], t)
         assert SUBTREE_VERSION == 2
         expected = v2_layout(sym(t, "a"), [6, 6, 4, 4, 2], [1, 2, 3, 4, 6], [5, 2, 5, 4, 5])
         assert subtree_to_bytes(tree) == expected
@@ -153,14 +186,14 @@ class TestSerialization:
     def test_banana_a_record_count(self):
         # oracle shape: root, delimiter leaf, depth-3 internal, two leaves
         t = from_str("banana$")
-        tree = build_subtree(arrays_for(t, sym(t, "a")), t)
+        [tree] = build_subtree([arrays_for(t, sym(t, "a"))], t)
         blob = subtree_to_bytes(tree)
         back = deserialize_subtree(blob, t.n)
         assert len(back.pos) == 5
 
     def test_bytes_written_and_charge(self):
         t = from_str("banana$")
-        tree = build_subtree(arrays_for(t, sym(t, "a")), t)
+        [tree] = build_subtree([arrays_for(t, sym(t, "a"))], t)
         sink = io.BytesIO()
         stats = IoStats(PHASE_SERIALIZE, 0)
         n = serialize_subtree(tree, sink, stats=stats, block_size=16)
@@ -169,7 +202,7 @@ class TestSerialization:
 
     def test_truncation_and_corruption_detected(self):
         t = from_str("banana$")
-        tree = build_subtree(arrays_for(t, sym(t, "a")), t)
+        [tree] = build_subtree([arrays_for(t, sym(t, "a"))], t)
         blob = subtree_to_bytes(tree)
         with pytest.raises(IndexCorruptError):
             deserialize_subtree(blob[:-4], t.n)
@@ -227,7 +260,7 @@ class TestSerialization:
             return
         if not substring_positions(text.data, prefix):
             return
-        tree = build_subtree(arrays_for(text, prefix), text)
+        [tree] = build_subtree([arrays_for(text, prefix)], text)
         assert deserialize_subtree(subtree_to_bytes(tree), text.n) == tree
 
 
@@ -244,9 +277,9 @@ class TestLeafOrderEqualsPreparedSa:
         if not positions:
             return
         config = BuildConfig(memory_budget_m=4, block_size_b=1)
-        arrays = subtree_prepare(
-            text, prefix, positions, config,
+        [arrays] = subtree_prepare(
+            text, [prefix], [positions], config,
             BlockReader(text, 1, IoStats(PHASE_HORIZONTAL, 0)),
         )
-        tree = build_subtree(arrays, text)
-        assert tree.leaf_positions() == arrays.sa
+        [tree] = build_subtree([arrays], text)
+        assert tree.leaf_positions() == arrays.sa.tolist()

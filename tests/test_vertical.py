@@ -310,3 +310,23 @@ class TestTrieSerialization:
         not_utf8 = blob.replace(b"st_02", b"st_\xff2")
         with pytest.raises(IndexCorruptError):
             TopTrie.from_bytes(not_utf8)
+
+
+def find_count(data: bytes, pattern: bytes) -> int:
+    count, i = 0, data.find(pattern)
+    while i != -1:
+        count, i = count + 1, data.find(pattern, i + 1)
+    return count
+
+
+@pytest.mark.parametrize("sigma", [2, 4, 16])
+@pytest.mark.parametrize("how_many", range(1, 9))
+def test_few_candidates_counted_like_find(sigma, how_many):
+    text = generate_random_text(700, sigma, how_many)
+    for length in (1, 3):
+        pool = sorted({text.data[i : i + length] for i in range(0, text.n - length, 7)})
+        candidates = pool[:how_many]
+        if how_many > 1:
+            candidates[-1] = candidates[0]  # a repeated candidate gets the same count
+        got = count_frequencies(text, candidates, fresh_reader(text))
+        assert got == {c: find_count(text.data, c) for c in candidates}
